@@ -82,8 +82,7 @@ def _cmd_curve_points(args) -> int:
 
 def _cmd_keygen(args) -> int:
     setup = _load(args.curve, keyfile.parse_curve_setup)
-    if setup.curve.order is None:
-        setup.curve.enumerate_points()
+    setup.curve.enumerate_points()
     if args.alpha is not None:
         secret_point = _parse_point(setup.curve, args.point)
         private, public = keys.keypair_from_secret(

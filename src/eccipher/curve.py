@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .field import FieldElement, Prime, inv_mod
+from .field import FieldElement, Prime
 
 # Point enumeration walks every x in [0, p); refuse moduli past this.
 ENUMERATION_LIMIT = 1 << 20
@@ -34,20 +34,13 @@ class Curve:
 
     def __init__(self, p, a, b):
         self.p = p if isinstance(p, Prime) else Prime(p)
-        self.a = self._element(a)
-        self.b = self._element(b)
-        if 4 * self.a ** 3 + 27 * self.b ** 2 == 0:
+        self.a = a % self.p
+        self.b = b % self.p
+        if (4 * self.a ** 3 + 27 * self.b ** 2) % self.p == 0:
             raise SingularCurveError(
                 f"4a^3 + 27b^2 = 0 mod {self.p}: curve is singular"
             )
         self._order = None
-
-    def _element(self, value) -> FieldElement:
-        if isinstance(value, FieldElement):
-            if value.modulus != self.p:
-                raise ValueError(f"value has modulus {value.modulus}, curve has {self.p}")
-            return value
-        return FieldElement(value, self.p)
 
     @property
     def order(self) -> int | None:
@@ -55,14 +48,13 @@ class Curve:
         return self._order
 
     def is_on_curve(self, x: int, y: int) -> bool:
-        p = int(self.p)
-        return (y * y - (x * x * x + self.a.residue * x + self.b.residue)) % p == 0
+        return (y * y - (x * x * x + self.a * x + self.b)) % self.p == 0
 
     def contains(self, point: Point) -> bool:
         """True iff the point is infinity or satisfies this curve's equation."""
         if point.is_infinity:
             return True
-        return self.is_on_curve(point.x.residue, point.y.residue)
+        return self.is_on_curve(point.x, point.y)
 
     def point(self, x, y) -> Point:
         return Point(self, x, y)
@@ -80,8 +72,8 @@ class Curve:
                 f"p = {self.p} exceeds enumeration limit 2**20"
             )
         points = [self.infinity()]
-        a, b, p = self.a.residue, self.b.residue, int(self.p)
-        for x in range(p):
+        a, b = self.a, self.b
+        for x in range(self.p):
             rhs = FieldElement(x * x * x + a * x + b, self.p)
             roots = rhs.sqrt()
             if roots is None:
@@ -110,17 +102,13 @@ class Curve:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Curve):
             return NotImplemented
-        return (
-            int(self.p) == int(other.p)
-            and self.a.residue == other.a.residue
-            and self.b.residue == other.b.residue
-        )
+        return self.p == other.p and self.a == other.a and self.b == other.b
 
     def __hash__(self) -> int:
-        return hash((int(self.p), self.a.residue, self.b.residue))
+        return hash((self.p, self.a, self.b))
 
     def __repr__(self) -> str:
-        return f"Curve(p={int(self.p)}, a={self.a.residue}, b={self.b.residue})"
+        return f"Curve(p={self.p}, a={self.a}, b={self.b})"
 
 
 def _divisors(n: int) -> list[int]:
@@ -157,12 +145,10 @@ class Point:
             self.x = None
             self.y = None
             return
-        x = curve._element(x)
-        y = curve._element(y)
-        if not curve.is_on_curve(x.residue, y.residue):
-            raise PointNotOnCurveError(
-                f"({x.residue},{y.residue}) is not on {curve!r}"
-            )
+        x %= curve.p
+        y %= curve.p
+        if not curve.is_on_curve(x, y):
+            raise PointNotOnCurveError(f"({x},{y}) is not on {curve!r}")
         self.x = x
         self.y = y
 
@@ -171,8 +157,8 @@ class Point:
         # Fast path for coordinates already known to satisfy the equation.
         pt = object.__new__(cls)
         pt.curve = curve
-        pt.x = FieldElement(x, curve.p)
-        pt.y = FieldElement(y, curve.p)
+        pt.x = x
+        pt.y = y
         return pt
 
     @property
@@ -182,7 +168,7 @@ class Point:
     def __neg__(self) -> Point:
         if self.is_infinity:
             return self
-        return Point._unchecked(self.curve, self.x.residue, -self.y.residue % self.curve.p)
+        return Point._unchecked(self.curve, self.x, -self.y % self.curve.p)
 
     def __add__(self, other: Point) -> Point:
         if not isinstance(other, Point):
@@ -193,17 +179,17 @@ class Point:
             return other
         if other.is_infinity:
             return self
-        p = int(self.curve.p)
-        x1, y1 = self.x.residue, self.y.residue
-        x2, y2 = other.x.residue, other.y.residue
+        p = self.curve.p
+        x1, y1 = self.x, self.y
+        x2, y2 = other.x, other.y
         if x1 == x2:
             if (y1 + y2) % p == 0:
                 # Mutual negatives, including doubling a point with y = 0
                 # where the tangent is vertical.
                 return Point(self.curve)
-            slope = (3 * x1 * x1 + self.curve.a.residue) * inv_mod(2 * y1, p) % p
+            slope = (3 * x1 * x1 + self.curve.a) * pow(2 * y1, -1, p) % p
         else:
-            slope = (y2 - y1) * inv_mod(x2 - x1, p) % p
+            slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
         x3 = (slope * slope - x1 - x2) % p
         y3 = (slope * (x1 - x3) - y1) % p
         return Point._unchecked(self.curve, x3, y3)
@@ -234,20 +220,16 @@ class Point:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Point):
             return NotImplemented
-        if self.curve != other.curve:
-            return False
-        if self.is_infinity or other.is_infinity:
-            return self.is_infinity and other.is_infinity
-        return self.x == other.x and self.y == other.y
+        return self.curve == other.curve and self.x == other.x and self.y == other.y
 
     def __hash__(self) -> int:
-        coords = None if self.is_infinity else (self.x.residue, self.y.residue)
-        return hash((int(self.curve.p), coords))
+        coords = None if self.is_infinity else (self.x, self.y)
+        return hash((self.curve.p, coords))
 
     def __str__(self) -> str:
         if self.is_infinity:
             return "inf"
-        return f"({self.x.residue},{self.y.residue})"
+        return f"({self.x},{self.y})"
 
     def __repr__(self) -> str:
         return f"Point[{self}] on {self.curve!r}"

@@ -39,17 +39,10 @@ def is_prime(n: int) -> bool:
 
 
 def inv_mod(value: int, modulus: int) -> int:
-    """Inverse of value mod a prime modulus, by the extended Euclidean algorithm."""
-    value %= modulus
-    if value == 0:
+    """Inverse of value mod a prime modulus."""
+    if value % modulus == 0:
         raise NonInvertibleError(f"0 has no inverse mod {modulus}")
-    a, b = value, modulus
-    x0, x1 = 1, 0
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        x0, x1 = x1, x0 - q * x1
-    return x0 % modulus
+    return pow(value, -1, modulus)
 
 
 class Prime(int):
@@ -135,18 +128,12 @@ class FieldElement:
         return self * other.inv()
 
     def __pow__(self, exponent: int):
-        """Square-and-multiply; exponent must be non-negative."""
+        """Modular power; exponent must be non-negative."""
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
             raise ValueError("exponent must be non-negative")
-        result, base, e, p = 1, self.residue, exponent, int(self.modulus)
-        while e:
-            if e & 1:
-                result = result * base % p
-            base = base * base % p
-            e >>= 1
-        return FieldElement(result, self.modulus)
+        return FieldElement(pow(self.residue, exponent, self.modulus), self.modulus)
 
     def inv(self) -> FieldElement:
         """Multiplicative inverse.  Raises NonInvertibleError for zero."""

@@ -88,14 +88,14 @@ class SpecificPublicKeyFile:
 def _point_lines(name: str, point: Point) -> list[tuple[str, str]]:
     if point.is_infinity:
         return [(name, "inf")]
-    return [(f"{name}.x", str(point.x.residue)), (f"{name}.y", str(point.y.residue))]
+    return [(f"{name}.x", str(point.x)), (f"{name}.y", str(point.y))]
 
 
 def _setup_lines(setup: CurveSetup) -> list[tuple[str, str]]:
     lines = [
-        ("p", str(int(setup.curve.p))),
-        ("a", str(setup.curve.a.residue)),
-        ("b", str(setup.curve.b.residue)),
+        ("p", str(setup.curve.p)),
+        ("a", str(setup.curve.a)),
+        ("b", str(setup.curve.b)),
     ]
     lines += _point_lines("base", setup.base)
     lines += _point_lines("table", setup.table_point)
@@ -253,8 +253,7 @@ def parse_private_key(text: str) -> PrivateKeyFile:
     pub_line = reader.line_no
     pub2 = reader.take_point(setup.curve, "pub2", allow_infinity=True)
     reader.finish()
-    if setup.curve.order is None:
-        setup.curve.enumerate_points()
+    setup.curve.enumerate_points()
     try:
         private, public = keypair_from_secret(setup.curve, setup.base, scalar, secret_point)
     except ValueError as exc:

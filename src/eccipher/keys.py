@@ -37,11 +37,12 @@ class PrivateKey:
         n = self.curve.order_of(self.base)
         if not 1 <= self.scalar < n:
             raise ValueError(f"secret scalar must be in [1, {n - 1}], got {self.scalar}")
+        object.__setattr__(self, "_base_order", n)
 
     @property
     def base_order(self) -> int:
         """Order n of the shared base point; scalars live in [1, n-1]."""
-        return self.curve.order_of(self.base)
+        return self._base_order
 
 
 @dataclass(frozen=True)

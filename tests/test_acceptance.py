@@ -66,7 +66,7 @@ def criterion(number, label):
 
 
 def _coords(point):
-    return None if point.is_infinity else (point.x.residue, point.y.residue)
+    return None if point.is_infinity else (point.x, point.y)
 
 
 # --------------------------------------------------------------------------

@@ -66,7 +66,7 @@ def test_unknown_point_raises():
 
 def test_encode_message_vector():
     points = _TABLE.encode_message("attack")
-    assert [(p.x.residue, p.y.residue) for p in points] == vectors.MESSAGE_POINTS
+    assert [(p.x, p.y) for p in points] == vectors.MESSAGE_POINTS
 
 
 def test_encode_empty_message():

@@ -9,6 +9,7 @@ import vectors
 from eccipher import (
     Curve,
     CurveTooLargeError,
+    FieldElement,
     Point,
     PointNotOnCurveError,
     SingularCurveError,
@@ -40,6 +41,12 @@ def test_coefficients_reduced_mod_p():
     assert Curve(37, 39, 9) == Curve(37, 2, 9)
 
 
+def test_coefficients_are_plain_ints_in_range():
+    curve = Curve(37, 2 - 37, 9)
+    assert curve.a == 2
+    assert type(curve.a) is int and type(curve.b) is int
+
+
 # -------------------------------------------------------------- membership
 
 def test_contains_affine_member(e37):
@@ -54,6 +61,13 @@ def test_off_curve_coordinates(e37):
     assert not e37.is_on_curve(9, 5)
     with pytest.raises(PointNotOnCurveError):
         e37.point(9, 5)
+
+
+def test_point_coordinates_reduced_mod_p(e37):
+    p = e37.point(9 + 37, 4 - 37)
+    assert p == e37.point(9, 4)
+    assert str(p) == "(9,4)"
+    assert type(p.x) is int and type(p.y) is int
 
 
 def test_point_requires_both_coordinates(e37):
@@ -163,14 +177,14 @@ def test_enumeration_matches_published_point_set(e37):
     pts = e37.enumerate_points()
     assert len(pts) == 43
     expected = {None} | set(vectors.AFFINE_POINTS)
-    actual = {None if p.is_infinity else (p.x.residue, p.y.residue) for p in pts}
+    actual = {None if p.is_infinity else (p.x, p.y) for p in pts}
     assert actual == expected
 
 
 def test_enumeration_order_is_deterministic(e37):
     pts = e37.enumerate_points()
     assert pts[0].is_infinity
-    xs = [p.x.residue for p in pts[1:]]
+    xs = [p.x for p in pts[1:]]
     assert xs == sorted(xs)
     assert str(pts[1]) in ("(0,3)", "(0,34)")
 
@@ -248,3 +262,17 @@ def test_point_equality_and_hash(e37):
     assert e37.point(9, 4) in {e37.point(9, 4)}
     other = Curve(5, 1, 1)
     assert e37.infinity() != other.infinity()
+
+
+def test_group_law_builds_no_field_elements(e37, monkeypatch):
+    p, q = e37.point(9, 4), e37.point(10, 20)
+    built = []
+    original = FieldElement.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(FieldElement, "__init__", counting_init)
+    [p + q, p + p, 23 * p, -p, hash(p), p == q]
+    assert built == []
