@@ -14,7 +14,6 @@ from pathlib import Path
 from . import cipher, keyfile, keys
 from .codec import DEFAULT_ALPHABET
 from .curve import Curve, Point
-from .field import Prime
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -42,7 +41,13 @@ def _parse_point(curve: Curve, text: str) -> Point:
 
 
 def _load(path: str, parse):
-    return parse(Path(path).read_text(encoding="utf-8"))
+    # Bytes, not read_text: universal newlines would turn a lone CR inside
+    # a value into a line break.
+    return parse(Path(path).read_bytes().decode("utf-8"))
+
+
+def _save(path: str, text: str) -> None:
+    Path(path).write_text(text, encoding="utf-8", newline="")
 
 
 def _require_same_setup(*setups: keyfile.CurveSetup):
@@ -61,13 +66,13 @@ def _make_rng(seed: int | None) -> random.Random:
 # ----------------------------------------------------------------- commands
 
 def _cmd_curve_init(args) -> int:
-    curve = Curve(Prime(args.p), args.a, args.b)
+    curve = Curve(args.p, args.a, args.b)
     base = _parse_point(curve, args.base)
     table_point = base if args.table_base is None else _parse_point(curve, args.table_base)
     setup = keyfile.CurveSetup(curve, base, table_point, args.alphabet)
     curve.enumerate_points()
     setup.code_table()  # fails early if the alphabet does not fit
-    Path(args.out).write_text(keyfile.render_curve_setup(setup), encoding="utf-8")
+    _save(args.out, keyfile.render_curve_setup(setup))
     print(f"group order = {curve.order}")
     print(f"base point order = {curve.order_of(base)}")
     return 0
@@ -90,14 +95,10 @@ def _cmd_keygen(args) -> int:
         )
     else:
         private, public = keys.keygen(setup.curve, setup.base, _make_rng(args.seed))
-    Path(args.out_private).write_text(
-        keyfile.render_private_key(keyfile.PrivateKeyFile(setup, private, public)),
-        encoding="utf-8",
-    )
-    Path(args.out_public).write_text(
-        keyfile.render_general_public_key(keyfile.GeneralPublicKeyFile(setup, public)),
-        encoding="utf-8",
-    )
+    _save(args.out_private,
+          keyfile.render_private_key(keyfile.PrivateKeyFile(setup, private, public)))
+    _save(args.out_public,
+          keyfile.render_general_public_key(keyfile.GeneralPublicKeyFile(setup, public)))
     return 0
 
 
@@ -106,32 +107,30 @@ def _cmd_derive_specific(args) -> int:
     peer = _load(args.peer_public, keyfile.parse_general_public_key)
     _require_same_setup(own.setup, peer.setup)
     specific = keys.derive_specific(own.key, peer.key.k2, args.issuer, args.audience)
-    Path(args.out).write_text(
-        keyfile.render_specific_public_key(
-            keyfile.SpecificPublicKeyFile(own.setup, specific)
-        ),
-        encoding="utf-8",
-    )
+    _save(args.out, keyfile.render_specific_public_key(
+        keyfile.SpecificPublicKeyFile(own.setup, specific)))
     return 0
 
 
-def _cmd_encrypt(args) -> int:
+def _load_conversation(args):
+    """Own private key, peer's general and specific keys, and the code table."""
     own = _load(args.private, keyfile.parse_private_key)
     peer = _load(args.peer_public, keyfile.parse_general_public_key)
     specific = _load(args.peer_specific, keyfile.parse_specific_public_key)
     _require_same_setup(own.setup, peer.setup, specific.setup)
-    ctx = cipher.EncryptionContext(own.key, peer.key, specific.key, own.setup.code_table())
-    nonces = args.gammas
-    print(cipher.encrypt_message(ctx, args.message, rng=_make_rng(args.seed), nonces=nonces))
+    return own, peer, specific, own.setup.code_table()
+
+
+def _cmd_encrypt(args) -> int:
+    own, peer, specific, table = _load_conversation(args)
+    ctx = cipher.EncryptionContext(own.key, peer.key, specific.key, table)
+    print(cipher.encrypt_message(ctx, args.message, rng=_make_rng(args.seed), nonces=args.gammas))
     return 0
 
 
 def _cmd_decrypt(args) -> int:
-    own = _load(args.private, keyfile.parse_private_key)
-    peer = _load(args.peer_public, keyfile.parse_general_public_key)
-    specific = _load(args.peer_specific, keyfile.parse_specific_public_key)
-    _require_same_setup(own.setup, peer.setup, specific.setup)
-    ctx = cipher.DecryptionContext(own.key, peer.key.k1, specific.key, own.setup.code_table())
+    own, peer, specific, table = _load_conversation(args)
+    ctx = cipher.DecryptionContext(own.key, peer.key.k1, specific.key, table)
     print(cipher.decrypt_message(ctx, args.cipher))
     return 0
 

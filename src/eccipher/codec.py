@@ -36,18 +36,18 @@ class CodeTable:
         points = tuple(points)
         if len(symbols) != len(points):
             raise ValueError(f"{len(symbols)} symbols but {len(points)} points")
-        if len(set(symbols)) != len(symbols):
+        self._point_by_symbol = dict(zip(symbols, points))
+        if len(self._point_by_symbol) != len(symbols):
             raise ValueError("alphabet symbols must be distinct")
-        if len(set(points)) != len(points):
+        self._symbol_by_point = dict(zip(points, symbols))
+        if len(self._symbol_by_point) != len(points):
             raise ValueError("table points must be distinct")
         for pt in points:
-            if pt.curve != curve or not curve.contains(pt):
+            if pt.curve != curve:
                 raise ValueError(f"table point {pt} is not on {curve!r}")
         self.curve = curve
         self.symbols = symbols
         self.points = points
-        self._point_by_symbol = dict(zip(symbols, points))
-        self._symbol_by_point = dict(zip(points, symbols))
 
     @classmethod
     def from_generator(cls, curve: Curve, generator: Point,
@@ -55,23 +55,21 @@ class CodeTable:
         """Build the table whose i-th symbol maps to i * generator.
 
         Index 0 is the identity, so the first symbol always denotes
-        infinity.  The generator's order must be at least the alphabet
-        size or the mapping would repeat points.
+        infinity.  The walk fails if it meets the identity again before
+        the alphabet is used up: the generator's order must be at least
+        the alphabet size or the mapping would repeat points.
         """
         if generator.curve != curve:
             raise ValueError("generator belongs to a different curve")
-        if curve.order is None:
-            curve.enumerate_points()
         symbols = tuple(alphabet)
-        order = curve.order_of(generator)
-        if len(symbols) > order:
-            raise AlphabetTooLargeError(
-                f"alphabet has {len(symbols)} symbols but the generator "
-                f"only addresses {order} points"
-            )
         points = []
         current = curve.infinity()
-        for _ in symbols:
+        for index in range(len(symbols)):
+            if index and current.is_infinity:
+                raise AlphabetTooLargeError(
+                    f"alphabet has {len(symbols)} symbols but the generator "
+                    f"only addresses {index} points"
+                )
             points.append(current)
             current = current + generator
         return cls(curve, symbols, points)

@@ -86,18 +86,19 @@ class Curve:
     def order_of(self, point: Point) -> int:
         """Order of a point: the least m > 0 with m*point = infinity.
 
-        Requires the group order, i.e. enumerate_points() must have run;
-        the answer is found by trial over the group order's divisors.
+        Requires the group order n, i.e. enumerate_points() must have run.
+        Starting from m = n, each prime q of n is stripped from m while
+        (m/q)*point is still infinity; what remains is the order.
         """
-        n = self._order
-        if n is None:
+        m = self._order
+        if m is None:
             raise ValueError("group order unknown: call enumerate_points() first")
         if point.curve != self:
             raise ValueError("point belongs to a different curve")
-        for d in _divisors(n):
-            if (d * point).is_infinity:
-                return d
-        raise AssertionError("point order must divide the group order")
+        for q in _prime_factors(m):
+            while m % q == 0 and ((m // q) * point).is_infinity:
+                m //= q
+        return m
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Curve):
@@ -111,16 +112,19 @@ class Curve:
         return f"Curve(p={self.p}, a={self.a}, b={self.b})"
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n > 0, ascending, by trial division."""
+    primes = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        primes.append(n)
+    return primes
 
 
 class Point:

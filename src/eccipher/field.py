@@ -150,18 +150,15 @@ class FieldElement:
         """All square roots of this element.
 
         Returns (r, p-r) for a nonzero square, (0,) for zero, and None when
-        no root exists.  Uses the (p+1)/4 shortcut when p = 3 (mod 4) and
-        Tonelli-Shanks otherwise.
+        no root exists.  Uses Tonelli-Shanks, whose r for p = 3 (mod 4) is
+        this element to the power (p+1)/4.
         """
         p = int(self.modulus)
         if self.residue == 0:
             return (FieldElement(0, self.modulus),)
         if self.legendre() != 1:
             return None
-        if p % 4 == 3:
-            r = pow(self.residue, (p + 1) // 4, p)
-        else:
-            r = _tonelli_shanks(self.residue, p)
+        r = _tonelli_shanks(self.residue, p)
         return (FieldElement(r, self.modulus), FieldElement(p - r, self.modulus))
 
     def __eq__(self, other) -> bool:

@@ -229,9 +229,10 @@ def _parse_setup(reader: _Reader) -> CurveSetup:
     base = reader.take_point(curve, "base", allow_infinity=False)
     table_point = reader.take_point(curve, "table", allow_infinity=False)
     alphabet = reader.take("alphabet")
-    if not alphabet or len(set(alphabet)) != len(alphabet):
-        raise KeyFileError(f"line {reader.line_no}: alphabet must be non-empty with distinct symbols")
-    return CurveSetup(curve, base, table_point, alphabet)
+    try:
+        return CurveSetup(curve, base, table_point, alphabet)
+    except ValueError as exc:
+        raise KeyFileError(f"line {reader.line_no}: {exc}") from None
 
 
 def parse_curve_setup(text: str) -> CurveSetup:

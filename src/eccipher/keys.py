@@ -78,8 +78,6 @@ def keygen(curve: Curve, base: Point,
     The rng is any random.Random; pass random.SystemRandom() for real keys
     or a seeded instance for reproducible ones.
     """
-    if base.curve != curve:
-        raise ValueError("base point belongs to a different curve")
     n = curve.order_of(base)
     if n < 2:
         raise ValueError("base point order must be at least 2")

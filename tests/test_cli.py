@@ -283,6 +283,51 @@ def test_decrypt_rejects_unknown_symbol(run_cli, workdir):
     assert result.returncode == 2, result.stderr
 
 
+def test_carriage_return_in_issuer_round_trips(run_cli, workdir):
+    # Key files are read byte for byte: a lone CR inside a value is not a
+    # line break, so the file written is the file read.
+    _make_demo_keys(run_cli, workdir)
+    for own, peer in (("alice", "bob"), ("bob", "alice")):
+        issuer = own[:2] + "\r" + own[2:]
+        result = run_cli(
+            "derive-specific", "--private", f"{own}.priv", "--peer-public", f"{peer}.pub",
+            "--issuer", issuer, "--audience", peer, "--out", f"{own}_for_{peer}.spec",
+            cwd=workdir,
+        )
+        assert result.returncode == 0, result.stderr
+        spec = (workdir / f"{own}_for_{peer}.spec").read_bytes()
+        assert f"issuer = {issuer}\naudience = {peer}\n".encode() in spec
+    enc = run_cli(
+        "encrypt", "--private", "bob.priv", "--peer-public", "alice.pub",
+        "--peer-specific", "alice_for_bob.spec",
+        "--message", vectors.MESSAGE, "--gammas", ",".join(map(str, vectors.NONCES)),
+        cwd=workdir,
+    )
+    assert enc.returncode == 0, enc.stderr
+    assert enc.stdout == vectors.CIPHERTEXT + "\n"
+    dec = run_cli(
+        "decrypt", "--private", "alice.priv", "--peer-public", "bob.pub",
+        "--peer-specific", "bob_for_alice.spec", "--cipher", vectors.CIPHERTEXT,
+        cwd=workdir,
+    )
+    assert dec.returncode == 0, dec.stderr
+    assert dec.stdout == vectors.MESSAGE + "\n"
+
+
+def test_crlf_key_file_is_rejected(run_cli, workdir):
+    _make_demo_keys(run_cli, workdir)
+    pub = workdir / "alice.pub"
+    pub.write_bytes(pub.read_bytes().replace(b"\n", b"\r\n"))
+    result = run_cli(
+        "encrypt", "--private", "bob.priv", "--peer-public", "alice.pub",
+        "--peer-specific", "alice_for_bob.spec", "--message", "a", "--seed", 1,
+        cwd=workdir,
+    )
+    assert result.returncode == 2, result.stderr
+    assert "line 1" in result.stderr
+    assert result.stdout == ""
+
+
 def test_mismatched_key_files_are_rejected(run_cli, workdir, tmp_path):
     _make_demo_keys(run_cli, workdir)
     other = run_cli(

@@ -98,6 +98,30 @@ def test_generator_from_other_curve_rejected():
         CodeTable.from_generator(_CURVE, other.point(0, 1), "*a")
 
 
+_G = _CURVE.point(*vectors.TABLE_POINT)
+_FOREIGN = Curve(5, 1, 1).point(0, 1)
+
+
+@pytest.mark.parametrize("symbols, points, message", [
+    ("*ab", [_CURVE.infinity(), _G], "3 symbols but 2 points"),
+    ("*aa", [_CURVE.infinity(), _G, 2 * _G], "symbols must be distinct"),
+    ("*ab", [_CURVE.infinity(), _G, _G], "points must be distinct"),
+    ("*ab", [_CURVE.infinity(), _G, _FOREIGN], "not on"),
+])
+def test_table_constructor_rejects_bad_input(symbols, points, message):
+    with pytest.raises(ValueError, match=message):
+        CodeTable(_CURVE, symbols, points)
+
+
+def test_from_generator_needs_no_group_order(e37_table):
+    fresh = Curve(vectors.P, vectors.A, vectors.B)
+    table = CodeTable.from_generator(fresh, fresh.point(*vectors.TABLE_POINT), vectors.ALPHABET)
+    assert dict(zip(table.symbols, table.points)) == dict(zip(e37_table.symbols, e37_table.points))
+    assert fresh.order is None
+    empty = CodeTable.from_generator(fresh, fresh.point(*vectors.TABLE_POINT), "")
+    assert len(empty) == 0 and empty.points == ()
+
+
 def test_shorter_alphabet_uses_prefix_of_multiples():
     table = CodeTable.from_generator(_CURVE, _CURVE.point(5, 25), "*xyz")
     assert table.encode_symbol("z") == 3 * _CURVE.point(5, 25)

@@ -248,6 +248,19 @@ def test_point_order_divides_group_order(e1009):
     assert not ((order // 2) * base).is_infinity if order % 2 == 0 else True
 
 
+@pytest.mark.parametrize("params", [(5, 1, 1), (31, 0, 3), (37, 2, 9), (1009, 7, 21)])
+def test_order_of_matches_repeated_addition(params):
+    # #E is 9 = 3^2 on E_5(1,1) and 1060 = 2^2*5*53 on E_1009(7,21), so the
+    # prime stripping divides by one prime more than once.
+    curve = Curve(*params)
+    for point in curve.enumerate_points():
+        acc, steps = point, 1
+        while not acc.is_infinity:
+            acc = acc + point
+            steps += 1
+        assert curve.order_of(point) == steps, point
+
+
 # ---------------------------------------------------------------- rendering
 
 def test_point_text_rendering(e37):
