@@ -177,7 +177,7 @@ class Point:
     def __add__(self, other: Point) -> Point:
         if not isinstance(other, Point):
             return NotImplemented
-        if other.curve != self.curve:
+        if other.curve is not self.curve and other.curve != self.curve:
             raise ValueError("cannot add points of different curves")
         if self.is_infinity:
             return other

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 # Largest modulus accepted.  Keeps every intermediate product within 128 bits
 # and every enumeration/search in this package at desk scale.
 MAX_MODULUS_BITS = 61
@@ -175,8 +177,10 @@ class FieldElement:
         return f"FieldElement({self.residue}, {int(self.modulus)})"
 
 
-def _tonelli_shanks(n: int, p: int) -> int:
-    """One square root of the quadratic residue n mod the odd prime p."""
+@functools.cache
+def _tonelli_constants(p: int) -> tuple[int, int, int]:
+    """(q, s, c) for the odd prime p: p - 1 = q * 2**s with q odd, and
+    c = z**q for the least quadratic non-residue z."""
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
@@ -184,7 +188,12 @@ def _tonelli_shanks(n: int, p: int) -> int:
     z = 2
     while pow(z, (p - 1) // 2, p) != p - 1:
         z += 1
-    c = pow(z, q, p)
+    return q, s, pow(z, q, p)
+
+
+def _tonelli_shanks(n: int, p: int) -> int:
+    """One square root of the quadratic residue n mod the odd prime p."""
+    q, s, c = _tonelli_constants(p)
     r = pow(n, (q + 1) // 2, p)
     t = pow(n, q, p)
     m = s

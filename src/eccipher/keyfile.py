@@ -8,9 +8,11 @@ One flat format, `ecff-v1`, shared by every file kind::
 
 Every kind embeds the full curve setup (modulus, coefficients, shared base
 point, code-table point, alphabet) so any file is self-describing and any
-two files can be checked for agreement.  Points are written as `name.x` /
-`name.y` line pairs, or `name = inf` for the identity.  Integers are plain
-decimals without leading zeros.  Files are canonical: fixed key order, one
+two files can be checked for agreement.  `_BODY` lists each kind's entries
+after the setup; it is the one description of a kind, which both the writer
+and the reader follow.  Points are written as `name.x` / `name.y` line
+pairs, or `name = inf` for the identity.  Integers are plain decimals
+without leading zeros.  Files are canonical: fixed key order, one
 `key = value` per line, single spaces, trailing newline — so parse followed
 by render is byte-identical, and any accepted file is already canonical.
 
@@ -83,81 +85,76 @@ class SpecificPublicKeyFile:
     key: SpecificPublicKey
 
 
+# Each kind's entries after the shared setup lines, in file order:
+# `_render` writes them and `_parse` reads them.  A point entry is
+# `name.x`/`name.y` lines, or `name = inf` where infinity is allowed.
+_INT, _TEXT, _POINT, _POINT_OR_INF = "int", "text", "point", "point-or-inf"
+_BODY = {
+    KIND_CURVE: (),
+    KIND_PRIVATE: (
+        ("alpha", _INT), ("point", _POINT), ("pub1", _POINT_OR_INF), ("pub2", _POINT_OR_INF),
+    ),
+    KIND_PUBLIC_GENERAL: (("pub1", _POINT_OR_INF), ("pub2", _POINT_OR_INF)),
+    KIND_PUBLIC_SPECIFIC: (("issuer", _TEXT), ("audience", _TEXT), ("point", _POINT_OR_INF)),
+}
+
+
 # ---------------------------------------------------------------- rendering
 
-def _point_lines(name: str, point: Point) -> list[tuple[str, str]]:
-    if point.is_infinity:
-        return [(name, "inf")]
-    return [(f"{name}.x", str(point.x)), (f"{name}.y", str(point.y))]
-
-
-def _setup_lines(setup: CurveSetup) -> list[tuple[str, str]]:
-    lines = [
-        ("p", str(setup.curve.p)),
-        ("a", str(setup.curve.a)),
-        ("b", str(setup.curve.b)),
+def _render(kind: str, setup: CurveSetup, *values) -> str:
+    """The canonical file of `kind`; `values` follow the order of `_BODY[kind]`."""
+    curve = setup.curve
+    entries = [
+        ("format", FORMAT_TAG), ("kind", kind), ("p", curve.p), ("a", curve.a), ("b", curve.b),
+        ("base", setup.base), ("table", setup.table_point), ("alphabet", setup.alphabet),
     ]
-    lines += _point_lines("base", setup.base)
-    lines += _point_lines("table", setup.table_point)
-    lines.append(("alphabet", setup.alphabet))
-    return lines
-
-
-def _render(kind: str, body: list[tuple[str, str]]) -> str:
-    lines = [("format", FORMAT_TAG), ("kind", kind)] + body
-    for key, value in lines:
-        if "\n" in value:
-            raise ValueError(f"{key} must not contain newlines")
-    return "".join(f"{key} = {value}\n" for key, value in lines)
+    entries += zip([name for name, _ in _BODY[kind]], values, strict=True)
+    lines = []
+    for name, value in entries:
+        if isinstance(value, Point):
+            if value.is_infinity:
+                lines.append(f"{name} = inf\n")
+            else:
+                lines += [f"{name}.x = {value.x}\n", f"{name}.y = {value.y}\n"]
+        elif "\n" in str(value):
+            raise ValueError(f"{name} must not contain newlines")
+        else:
+            lines.append(f"{name} = {value}\n")
+    return "".join(lines)
 
 
 def render_curve_setup(setup: CurveSetup) -> str:
-    return _render(KIND_CURVE, _setup_lines(setup))
+    return _render(KIND_CURVE, setup)
 
 
 def render_private_key(record: PrivateKeyFile) -> str:
-    body = _setup_lines(record.setup)
-    body.append(("alpha", str(record.key.scalar)))
-    body += _point_lines("point", record.key.point)
-    body += _point_lines("pub1", record.public.k1)
-    body += _point_lines("pub2", record.public.k2)
-    return _render(KIND_PRIVATE, body)
+    key, public = record.key, record.public
+    return _render(KIND_PRIVATE, record.setup, key.scalar, key.point, public.k1, public.k2)
 
 
 def render_general_public_key(record: GeneralPublicKeyFile) -> str:
-    body = _setup_lines(record.setup)
-    body += _point_lines("pub1", record.key.k1)
-    body += _point_lines("pub2", record.key.k2)
-    return _render(KIND_PUBLIC_GENERAL, body)
+    return _render(KIND_PUBLIC_GENERAL, record.setup, record.key.k1, record.key.k2)
 
 
 def render_specific_public_key(record: SpecificPublicKeyFile) -> str:
-    body = _setup_lines(record.setup)
-    body.append(("issuer", record.key.issuer))
-    body.append(("audience", record.key.audience))
-    body += _point_lines("point", record.key.point)
-    return _render(KIND_PUBLIC_SPECIFIC, body)
+    key = record.key
+    return _render(KIND_PUBLIC_SPECIFIC, record.setup, key.issuer, key.audience, key.point)
 
 
 # ------------------------------------------------------------------ parsing
 
 class _Reader:
-    """Strict line reader: enforces the canonical key order and syntax."""
+    """Strict line reader: enforces the canonical key order and syntax.
+
+    `pos` is the 1-based number of the line just read, which every error
+    message cites.
+    """
 
     def __init__(self, text: str):
         if not text.endswith("\n"):
             raise KeyFileError("line 1: file must end with a newline")
         self.lines = text.split("\n")[:-1]
         self.pos = 0
-
-    @property
-    def line_no(self) -> int:
-        return self.pos  # 1-based number of the line just consumed
-
-    def peek_key(self) -> str | None:
-        if self.pos >= len(self.lines):
-            return None
-        return self.lines[self.pos].split(" = ", 1)[0]
 
     def take(self, key: str) -> str:
         if self.pos >= len(self.lines):
@@ -169,91 +166,92 @@ class _Reader:
             raise KeyFileError(f"line {self.pos}: expected {key!r} entry, got {line!r}")
         return value
 
-    def take_int(self, key: str) -> int:
+    def take_int(self, key: str, below: int | None = None) -> int:
+        """A plain decimal, which must be below p when `below` is given."""
         value = self.take(key)
         if not _INT_RE.match(value):
-            raise KeyFileError(f"line {self.line_no}: {key} must be a plain decimal, got {value!r}")
-        return int(value)
+            raise KeyFileError(f"line {self.pos}: {key} must be a plain decimal, got {value!r}")
+        try:
+            number = int(value)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise KeyFileError(
+                f"line {self.pos}: {key} is too long to read ({len(value)} digits)"
+            ) from None
+        if below is not None and number >= below:
+            raise KeyFileError(f"line {self.pos}: {key} must be below p")
+        return number
 
     def take_point(self, curve: Curve, name: str, allow_infinity: bool) -> Point:
-        if self.peek_key() == name:
+        if self.pos < len(self.lines) and self.lines[self.pos].split(" = ", 1)[0] == name:
             value = self.take(name)
             if value != "inf":
-                raise KeyFileError(f"line {self.line_no}: {name} must be {name}.x/.y lines or 'inf'")
+                raise KeyFileError(f"line {self.pos}: {name} must be {name}.x/.y lines or 'inf'")
             if not allow_infinity:
-                raise KeyFileError(f"line {self.line_no}: {name} must not be inf")
+                raise KeyFileError(f"line {self.pos}: {name} must not be inf")
             return curve.infinity()
-        x = self.take_int(f"{name}.x")
-        if x >= curve.p:
-            raise KeyFileError(f"line {self.line_no}: {name}.x must be below p")
-        y = self.take_int(f"{name}.y")
-        if y >= curve.p:
-            raise KeyFileError(f"line {self.line_no}: {name}.y must be below p")
+        x = self.take_int(f"{name}.x", below=curve.p)
+        y = self.take_int(f"{name}.y", below=curve.p)
         try:
             return curve.point(x, y)
         except PointNotOnCurveError:
-            raise KeyFileError(f"line {self.line_no}: point {name} = ({x},{y}) is not on the curve") from None
+            raise KeyFileError(f"line {self.pos}: point {name} = ({x},{y}) is not on the curve") from None
 
-    def finish(self):
-        if self.pos != len(self.lines):
-            raise KeyFileError(f"line {self.pos + 1}: unexpected trailing content")
-
-
-def _parse_header(reader: _Reader, expected_kind: str):
-    tag = reader.take("format")
-    if tag != FORMAT_TAG:
-        raise KeyFileError(f"line 1: unknown format tag {tag!r}")
-    kind = reader.take("kind")
-    if kind != expected_kind:
-        raise KeyFileError(f"line 2: expected kind {expected_kind!r}, found {kind!r}")
+    def take_entry(self, curve: Curve, name: str, entry_type: str):
+        if entry_type == _INT:
+            return self.take_int(name)
+        if entry_type == _TEXT:
+            return self.take(name)
+        return self.take_point(curve, name, allow_infinity=entry_type == _POINT_OR_INF)
 
 
 def _parse_setup(reader: _Reader) -> CurveSetup:
     p = reader.take_int("p")
-    p_line = reader.line_no
     try:
         prime = Prime(p)
     except ValueError as exc:
-        raise KeyFileError(f"line {p_line}: {exc}") from None
-    a = reader.take_int("a")
-    if a >= prime:
-        raise KeyFileError(f"line {reader.line_no}: a must be below p")
-    b = reader.take_int("b")
-    b_line = reader.line_no
-    if b >= prime:
-        raise KeyFileError(f"line {b_line}: b must be below p")
+        raise KeyFileError(f"line {reader.pos}: {exc}") from None
+    a = reader.take_int("a", below=prime)
+    b = reader.take_int("b", below=prime)
     try:
         curve = Curve(prime, a, b)
     except SingularCurveError as exc:
-        raise KeyFileError(f"line {b_line}: {exc}") from None
+        raise KeyFileError(f"line {reader.pos}: {exc}") from None
     base = reader.take_point(curve, "base", allow_infinity=False)
     table_point = reader.take_point(curve, "table", allow_infinity=False)
     alphabet = reader.take("alphabet")
     try:
         return CurveSetup(curve, base, table_point, alphabet)
     except ValueError as exc:
-        raise KeyFileError(f"line {reader.line_no}: {exc}") from None
+        raise KeyFileError(f"line {reader.pos}: {exc}") from None
+
+
+def _parse(text: str, kind: str) -> tuple[CurveSetup, list, list[int]]:
+    """The setup of a `kind` file, its body values in `_BODY[kind]` order,
+    and the line on which each value ended."""
+    reader = _Reader(text)
+    tag = reader.take("format")
+    if tag != FORMAT_TAG:
+        raise KeyFileError(f"line 1: unknown format tag {tag!r}")
+    found = reader.take("kind")
+    if found != kind:
+        raise KeyFileError(f"line 2: expected kind {kind!r}, found {found!r}")
+    setup = _parse_setup(reader)
+    values, ends = [], []
+    for name, entry_type in _BODY[kind]:
+        values.append(reader.take_entry(setup.curve, name, entry_type))
+        ends.append(reader.pos)
+    if reader.pos != len(reader.lines):
+        raise KeyFileError(f"line {reader.pos + 1}: unexpected trailing content")
+    return setup, values, ends
 
 
 def parse_curve_setup(text: str) -> CurveSetup:
-    reader = _Reader(text)
-    _parse_header(reader, KIND_CURVE)
-    setup = _parse_setup(reader)
-    reader.finish()
-    return setup
+    return _parse(text, KIND_CURVE)[0]
 
 
 def parse_private_key(text: str) -> PrivateKeyFile:
-    reader = _Reader(text)
-    _parse_header(reader, KIND_PRIVATE)
-    setup = _parse_setup(reader)
-    scalar = reader.take_int("alpha")
-    scalar_line = reader.line_no
-    secret_point = reader.take_point(setup.curve, "point", allow_infinity=False)
-    pub1 = reader.take_point(setup.curve, "pub1", allow_infinity=True)
-    pub_line = reader.line_no
-    pub2 = reader.take_point(setup.curve, "pub2", allow_infinity=True)
-    reader.finish()
+    setup, (scalar, secret_point, pub1, pub2), ends = _parse(text, KIND_PRIVATE)
+    scalar_line, _, pub1_line, _ = ends
     setup.curve.enumerate_points()
     try:
         private, public = keypair_from_secret(setup.curve, setup.base, scalar, secret_point)
@@ -261,27 +259,16 @@ def parse_private_key(text: str) -> PrivateKeyFile:
         raise KeyFileError(f"line {scalar_line}: {exc}") from None
     if public.k1 != pub1 or public.k2 != pub2:
         raise KeyFileError(
-            f"line {pub_line}: stored public key does not match the private key"
+            f"line {pub1_line}: stored public key does not match the private key"
         )
     return PrivateKeyFile(setup, private, public)
 
 
 def parse_general_public_key(text: str) -> GeneralPublicKeyFile:
-    reader = _Reader(text)
-    _parse_header(reader, KIND_PUBLIC_GENERAL)
-    setup = _parse_setup(reader)
-    pub1 = reader.take_point(setup.curve, "pub1", allow_infinity=True)
-    pub2 = reader.take_point(setup.curve, "pub2", allow_infinity=True)
-    reader.finish()
+    setup, (pub1, pub2), _ = _parse(text, KIND_PUBLIC_GENERAL)
     return GeneralPublicKeyFile(setup, GeneralPublicKey(pub1, pub2))
 
 
 def parse_specific_public_key(text: str) -> SpecificPublicKeyFile:
-    reader = _Reader(text)
-    _parse_header(reader, KIND_PUBLIC_SPECIFIC)
-    setup = _parse_setup(reader)
-    issuer = reader.take("issuer")
-    audience = reader.take("audience")
-    point = reader.take_point(setup.curve, "point", allow_infinity=True)
-    reader.finish()
+    setup, (issuer, audience, point), _ = _parse(text, KIND_PUBLIC_SPECIFIC)
     return SpecificPublicKeyFile(setup, SpecificPublicKey(point, issuer, audience))

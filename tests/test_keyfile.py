@@ -1,6 +1,7 @@
 """The ecff-v1 canonical text format: rendering, parsing, validation."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -230,21 +231,21 @@ def test_duplicate_alphabet_symbols():
 def test_zero_scalar_is_out_of_range(e37):
     text = render_private_key(_private_file(e37))
     bad = _mutate(text, "alpha = 5", "alpha = 0")
-    with pytest.raises(KeyFileError, match="alpha|scalar"):
+    with pytest.raises(KeyFileError, match="^line 11: .*(alpha|scalar)"):
         parse_private_key(bad)
 
 
 def test_oversized_scalar_is_out_of_range(e37):
     text = render_private_key(_private_file(e37))
     bad = _mutate(text, "alpha = 5", "alpha = 43")
-    with pytest.raises(KeyFileError, match="\\[1, 42\\]"):
+    with pytest.raises(KeyFileError, match="^line 11: .*\\[1, 42\\]"):
         parse_private_key(bad)
 
 
 def test_stored_public_key_must_match_private(e37):
     text = render_private_key(_private_file(e37))
     bad = _mutate(text, "pub1.x = 1\npub1.y = 7", "pub1.x = 11\npub1.y = 17")
-    with pytest.raises(KeyFileError, match="does not match"):
+    with pytest.raises(KeyFileError, match="^line 15: .*does not match"):
         parse_private_key(bad)
 
 
@@ -281,3 +282,51 @@ def test_error_messages_carry_line_numbers():
     for bad in cases:
         with pytest.raises(KeyFileError, match="line \\d+"):
             parse_curve_setup(bad)
+
+
+def _rendered(kind, e37):
+    record = _private_file(e37)
+    if kind == "curve":
+        return render_curve_setup(record.setup), parse_curve_setup
+    if kind == "private":
+        return render_private_key(record), parse_private_key
+    if kind == "public-general":
+        general = GeneralPublicKeyFile(record.setup, record.public)
+        return render_general_public_key(general), parse_general_public_key
+    specific = derive_specific(record.key, record.public.k2, "alice", "bob")
+    text = render_specific_public_key(SpecificPublicKeyFile(record.setup, specific))
+    return text, parse_specific_public_key
+
+
+@pytest.mark.parametrize(
+    "kind, length",
+    [("curve", 10), ("private", 17), ("public-general", 14), ("public-specific", 14)],
+)
+def test_every_line_is_cited_by_its_number(e37, kind, length):
+    text, parse = _rendered(kind, e37)
+    lines = text.splitlines(keepends=True)
+    assert len(lines) == length
+    for k in range(1, length + 1):
+        bad = "".join(lines[:k - 1] + ["junk = 1\n"] + lines[k:])
+        with pytest.raises(KeyFileError, match=f"^line {k}: "):
+            parse(bad)
+
+
+@pytest.mark.parametrize("digit_limit", ["default", "unlimited"])
+@pytest.mark.parametrize("key, line", [("p", 3), ("alpha", 11)])
+def test_overlong_integer_is_refused_with_its_line(e37, key, line, digit_limit):
+    # int() refuses more than sys.get_int_max_str_digits() digits (4300 by
+    # default); without that limit the range checks refuse the value.
+    text, parse = _rendered("curve" if key == "p" else "private", e37)
+    lines = text.splitlines(keepends=True)
+    assert lines[line - 1].startswith(f"{key} = ")
+    lines[line - 1] = f"{key} = {'1' * 5000}\n"
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit == "unlimited" and saved is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        with pytest.raises(KeyFileError, match=f"^line {line}: "):
+            parse("".join(lines))
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
