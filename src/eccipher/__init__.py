@@ -1,10 +1,11 @@
 """Point-coded message encryption over small prime-field elliptic curves.
 
-The pieces, bottom up: exact mod-p field arithmetic, the short Weierstrass
-group law, a code table pairing a text alphabet with curve points, a
-three-tier key scheme (private, general public, per-peer specific public),
-a randomized two-point cipher over that table, canonical key files, and
-brute-force reference oracles for auditing all of it at desk scale.
+The pieces, bottom up: validated prime moduli and mod-p square roots, the
+short Weierstrass group law on plain ints, a code table pairing a text
+alphabet with curve points, a three-tier key scheme (private, general
+public, per-peer specific public), a randomized two-point cipher over that
+table, canonical key files, and brute-force reference oracles for auditing
+all of it at desk scale.
 
 Deliberately small and exhaustively checkable; not hardened cryptography.
 """
@@ -35,7 +36,7 @@ from .curve import (
     PointNotOnCurveError,
     SingularCurveError,
 )
-from .field import FieldElement, NonInvertibleError, Prime
+from .field import FieldElement, Prime
 from .keyfile import (
     CurveSetup,
     GeneralPublicKeyFile,
@@ -70,7 +71,6 @@ __all__ = [
     "KeyFileError",
     "MalformedCiphertextError",
     "MessageTooLongError",
-    "NonInvertibleError",
     "Point",
     "PointNotOnCurveError",
     "Prime",

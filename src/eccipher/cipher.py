@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from ._messages import brief
 from .codec import CodeTable
 from .curve import Point
 from .keys import GeneralPublicKey, PrivateKey, SpecificPublicKey
@@ -89,7 +90,7 @@ def encrypt_point(ctx: EncryptionContext, message_point: Point, nonce: int) -> C
     private = ctx.sender_private
     n = private.base_order
     if not 1 <= nonce < n:
-        raise ValueError(f"nonce must be in [1, {n - 1}], got {nonce}")
+        raise ValueError(f"nonce must be in [1, {n - 1}], got {brief(nonce)}")
     if message_point.curve != private.curve:
         raise ValueError("message point belongs to a different curve")
     e1 = nonce * private.base

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from . import cipher, keyfile, keys
+from ._messages import brief
 from .codec import DEFAULT_ALPHABET
 from .curve import Curve, Point
 
@@ -32,11 +33,11 @@ def _parse_point(curve: Curve, text: str) -> Point:
         return curve.infinity()
     parts = text.split(",")
     if len(parts) != 2:
-        raise ValueError(f"point must be 'X,Y' or 'inf', got {text!r}")
+        raise ValueError(f"point must be 'X,Y' or 'inf', got {brief(text)}")
     try:
         x, y = int(parts[0]), int(parts[1])
     except ValueError:
-        raise ValueError(f"point coordinates must be integers, got {text!r}") from None
+        raise ValueError(f"point coordinates must be integers, got {brief(text)}") from None
     return curve.point(x, y)
 
 
@@ -141,7 +142,9 @@ def _gamma_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",")]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"gammas must be comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"gammas must be comma-separated integers, got {brief(text)}"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -74,12 +74,11 @@ class Curve:
         points = [self.infinity()]
         a, b = self.a, self.b
         for x in range(self.p):
-            rhs = FieldElement(x * x * x + a * x + b, self.p)
-            roots = rhs.sqrt()
+            roots = FieldElement(x * x * x + a * x + b, self.p).sqrt()
             if roots is None:
                 continue
-            for root in roots:
-                points.append(Point._unchecked(self, x, root.residue))
+            for y in roots:
+                points.append(Point._unchecked(self, x, y))
         self._order = len(points)
         return points
 

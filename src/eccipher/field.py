@@ -1,8 +1,15 @@
-"""Exact arithmetic in the prime field Z_p."""
+"""Validated prime moduli, and residues mod p with their square roots.
+
+Field arithmetic itself is plain int arithmetic mod p (inverses by
+`pow(x, -1, p)`); `FieldElement` keeps only the Legendre symbol and the
+Tonelli-Shanks square root that point enumeration needs.
+"""
 
 from __future__ import annotations
 
 import functools
+
+from ._messages import brief
 
 # Largest modulus accepted.  Keeps every intermediate product within 128 bits
 # and every enumeration/search in this package at desk scale.
@@ -10,10 +17,6 @@ MAX_MODULUS_BITS = 61
 
 # Witness set making Miller-Rabin deterministic for all n < 3.3e24 (> 2**64).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-class NonInvertibleError(ValueError):
-    """Asked for the multiplicative inverse of zero."""
 
 
 def is_prime(n: int) -> bool:
@@ -40,13 +43,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def inv_mod(value: int, modulus: int) -> int:
-    """Inverse of value mod a prime modulus."""
-    if value % modulus == 0:
-        raise NonInvertibleError(f"0 has no inverse mod {modulus}")
-    return pow(value, -1, modulus)
-
-
 class Prime(int):
     """A validated prime modulus p with 3 < p < 2**61.
 
@@ -57,20 +53,19 @@ class Prime(int):
     def __new__(cls, value: int) -> Prime:
         value = int(value)
         if value <= 3:
-            raise ValueError(f"modulus must exceed 3, got {value}")
+            raise ValueError(f"modulus must exceed 3, got {brief(value)}")
         if value.bit_length() > MAX_MODULUS_BITS:
-            raise ValueError(f"modulus must be below 2**{MAX_MODULUS_BITS}, got {value}")
+            raise ValueError(f"modulus must be below 2**{MAX_MODULUS_BITS}, got {brief(value)}")
         if not is_prime(value):
             raise ValueError(f"{value} is not prime")
         return super().__new__(cls, value)
 
 
 class FieldElement:
-    """A residue in [0, p) under mod-p arithmetic.
+    """A residue in [0, p) with its Legendre symbol and square roots.
 
-    Supports +, -, *, /, ** and unary minus against other elements of the
-    same field or plain ints (which are reduced mod p first).  Mixing
-    elements of different fields raises ValueError.
+    Arithmetic on residues is plain int arithmetic mod p; this class only
+    answers whether a residue is a square and what its roots are.
     """
 
     __slots__ = ("residue", "modulus")
@@ -81,66 +76,6 @@ class FieldElement:
         self.residue = residue % modulus
         self.modulus = modulus
 
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.modulus != self.modulus:
-                raise ValueError(
-                    f"mixed moduli: {self.modulus} and {other.modulus}"
-                )
-            return other
-        if isinstance(other, int):
-            return FieldElement(other, self.modulus)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return FieldElement(self.residue + other.residue, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return FieldElement(self.residue - other.residue, self.modulus)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return FieldElement(other.residue - self.residue, self.modulus)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return FieldElement(self.residue * other.residue, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(-self.residue, self.modulus)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inv()
-
-    def __pow__(self, exponent: int):
-        """Modular power; exponent must be non-negative."""
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            raise ValueError("exponent must be non-negative")
-        return FieldElement(pow(self.residue, exponent, self.modulus), self.modulus)
-
-    def inv(self) -> FieldElement:
-        """Multiplicative inverse.  Raises NonInvertibleError for zero."""
-        return FieldElement(inv_mod(self.residue, self.modulus), self.modulus)
-
     def legendre(self) -> int:
         """0 for zero, +1 for a nonzero square mod p, -1 otherwise."""
         if self.residue == 0:
@@ -148,30 +83,20 @@ class FieldElement:
         sym = pow(self.residue, (self.modulus - 1) // 2, self.modulus)
         return 1 if sym == 1 else -1
 
-    def sqrt(self) -> tuple[FieldElement, ...] | None:
-        """All square roots of this element.
+    def sqrt(self) -> tuple[int, ...] | None:
+        """All square roots of this residue, as ints in [0, p).
 
         Returns (r, p-r) for a nonzero square, (0,) for zero, and None when
         no root exists.  Uses Tonelli-Shanks, whose r for p = 3 (mod 4) is
-        this element to the power (p+1)/4.
+        this residue to the power (p+1)/4.
         """
-        p = int(self.modulus)
         if self.residue == 0:
-            return (FieldElement(0, self.modulus),)
+            return (0,)
         if self.legendre() != 1:
             return None
+        p = int(self.modulus)
         r = _tonelli_shanks(self.residue, p)
-        return (FieldElement(r, self.modulus), FieldElement(p - r, self.modulus))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.residue == other.residue and self.modulus == other.modulus
-        if isinstance(other, int):
-            return self.residue == other % self.modulus
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.residue, int(self.modulus)))
+        return (r, p - r)
 
     def __repr__(self) -> str:
         return f"FieldElement({self.residue}, {int(self.modulus)})"

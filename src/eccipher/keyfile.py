@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from ._messages import brief
 from .codec import CodeTable
 from .curve import Curve, Point, PointNotOnCurveError, SingularCurveError
 from .field import Prime
@@ -163,14 +164,16 @@ class _Reader:
         self.pos += 1
         head, sep, value = line.partition(" = ")
         if not sep or head != key:
-            raise KeyFileError(f"line {self.pos}: expected {key!r} entry, got {line!r}")
+            raise KeyFileError(f"line {self.pos}: expected {key!r} entry, got {brief(line)}")
         return value
 
     def take_int(self, key: str, below: int | None = None) -> int:
         """A plain decimal, which must be below p when `below` is given."""
         value = self.take(key)
         if not _INT_RE.match(value):
-            raise KeyFileError(f"line {self.pos}: {key} must be a plain decimal, got {value!r}")
+            raise KeyFileError(
+                f"line {self.pos}: {key} must be a plain decimal, got {brief(value)}"
+            )
         try:
             number = int(value)
         except ValueError:  # more digits than sys.get_int_max_str_digits()
@@ -231,10 +234,10 @@ def _parse(text: str, kind: str) -> tuple[CurveSetup, list, list[int]]:
     reader = _Reader(text)
     tag = reader.take("format")
     if tag != FORMAT_TAG:
-        raise KeyFileError(f"line 1: unknown format tag {tag!r}")
+        raise KeyFileError(f"line 1: unknown format tag {brief(tag)}")
     found = reader.take("kind")
     if found != kind:
-        raise KeyFileError(f"line 2: expected kind {kind!r}, found {found!r}")
+        raise KeyFileError(f"line 2: expected kind {kind!r}, found {brief(found)}")
     setup = _parse_setup(reader)
     values, ends = [], []
     for name, entry_type in _BODY[kind]:

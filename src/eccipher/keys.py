@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from ._messages import brief
 from .curve import Curve, Point
 
 
@@ -36,7 +37,7 @@ class PrivateKey:
             raise ValueError("secret point must not be infinity")
         n = self.curve.order_of(self.base)
         if not 1 <= self.scalar < n:
-            raise ValueError(f"secret scalar must be in [1, {n - 1}], got {self.scalar}")
+            raise ValueError(f"secret scalar must be in [1, {n - 1}], got {brief(self.scalar)}")
         object.__setattr__(self, "_base_order", n)
 
     @property

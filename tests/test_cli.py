@@ -349,6 +349,57 @@ def test_mismatched_key_files_are_rejected(run_cli, workdir, tmp_path):
     assert "disagree" in result.stderr
 
 
+_LONG_TEXT = "x" * 3000
+_LONG_NUMBER = "9" * 4000
+_POINTS = ("curve", "points", "--curve", "demo.ecff")
+_KEYGEN = ("keygen", "--curve", "demo.ecff", "--out-private", "x.priv", "--out-public", "x.pub")
+_INIT = ("curve", "init", "--a", "2", "--b", "9", "--out", "c.ecff")
+
+
+@pytest.mark.parametrize("edit, command, prefix, size", [
+    pytest.param(("demo.ecff", 1, "format = " + _LONG_TEXT), _POINTS,
+                 "error: line 1: unknown format tag", "3000 characters", id="format-tag"),
+    pytest.param(("demo.ecff", 2, "kind = " + _LONG_TEXT), _POINTS,
+                 "error: line 2: expected kind", "3000 characters", id="kind"),
+    pytest.param(("demo.ecff", 3, _LONG_TEXT), _POINTS,
+                 "error: line 3: expected 'p' entry", "3000 characters", id="entry"),
+    pytest.param(("demo.ecff", 3, "p = " + _LONG_TEXT), _POINTS,
+                 "error: line 3: p must be a plain decimal", "3000 characters", id="decimal"),
+    pytest.param(("demo.ecff", 3, "p = " + _LONG_NUMBER), _POINTS,
+                 "error: line 3: modulus must be below 2**61", "4000 digits", id="file-p"),
+    pytest.param(("alice.priv", 11, "alpha = " + _LONG_NUMBER),
+                 ("derive-specific", "--private", "alice.priv", "--peer-public", "bob.pub",
+                  "--out", "x.spec"),
+                 "error: line 11: secret scalar must be in [1, 42]", "4000 digits",
+                 id="file-alpha"),
+    pytest.param(None, (*_INIT, "--base", "9,4", "--p", _LONG_NUMBER),
+                 "error: modulus must be below 2**61", "4000 digits", id="init-p"),
+    pytest.param(None, (*_INIT, "--base", "9,4", f"--p=-{_LONG_NUMBER}"),
+                 "error: modulus must exceed 3", "4000 digits", id="init-negative-p"),
+    pytest.param(None, (*_INIT, "--p", "37", "--base", _LONG_TEXT),
+                 "error: point must be 'X,Y' or 'inf'", "3000 characters", id="init-base"),
+    pytest.param(None, (*_KEYGEN, "--alpha", _LONG_NUMBER, "--point", "10,20"),
+                 "error: secret scalar must be in [1, 42]", "4000 digits", id="keygen-alpha"),
+    pytest.param(None, ("encrypt", "--private", "bob.priv", "--peer-public", "alice.pub",
+                        "--peer-specific", "alice_for_bob.spec", "--message", "a",
+                        "--gammas", _LONG_NUMBER),
+                 "error: nonce must be in [1, 42]", "4000 digits", id="encrypt-gammas"),
+])
+def test_long_values_are_cut_short_in_errors(run_cli, workdir, edit, command, prefix, size):
+    if command[0] in ("derive-specific", "encrypt"):
+        _make_demo_keys(run_cli, workdir)
+    if edit is not None:
+        name, number, text = edit
+        lines = (workdir / name).read_bytes().decode("utf-8").split("\n")
+        lines[number - 1] = text
+        (workdir / name).write_bytes("\n".join(lines).encode("utf-8"))
+    result = run_cli(*command, cwd=workdir)
+    assert result.returncode == 2, result.stderr[:300]
+    assert result.stderr.startswith(prefix), result.stderr[:300]
+    assert f"({size})" in result.stderr
+    assert len(result.stderr.encode("utf-8")) < 200, result.stderr[:300]
+
+
 def test_missing_file_is_a_data_error(run_cli, workdir):
     result = run_cli("curve", "points", "--curve", "nope.ecff", cwd=workdir)
     assert result.returncode == 2, result.stderr

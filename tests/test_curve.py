@@ -215,6 +215,58 @@ def test_enumeration_refuses_oversized_curve():
         curve.enumerate_points()
 
 
+_SMALL_CURVES = [
+    (p, a, b)
+    for p in range(5, 300) if all(p % d for d in range(2, p))
+    for a, b in ((2, 9), (1, 1), (0, 3))
+    if (4 * a ** 3 + 27 * b ** 2) % p
+]
+
+
+@pytest.mark.parametrize("p, a, b", _SMALL_CURVES)
+def test_enumeration_matches_brute_force(p, a, b):
+    roots_of = {}
+    for y in range(p):
+        roots_of.setdefault(y * y % p, []).append(y)
+    expected = {(x, y) for x in range(p) for y in roots_of.get((x ** 3 + a * x + b) % p, [])}
+    pts = Curve(p, a, b).enumerate_points()
+    assert pts[0].is_infinity
+    affine = [(pt.x, pt.y) for pt in pts[1:]]
+    assert len(affine) == len(expected) and set(affine) == expected
+    xs = [x for x, _ in affine]
+    assert xs == sorted(xs)
+    i = 0
+    while i < len(affine):
+        x, r = affine[i]
+        if r == 0:
+            i += 1
+            continue
+        # Both roots of one x, adjacent, the second the negation of the first.
+        assert affine[i + 1] == (x, p - r)
+        if p % 4 == 3:
+            assert r == pow((x ** 3 + a * x + b) % p, (p + 1) // 4, p)
+        i += 2
+
+
+@pytest.fixture()
+def field_elements_built(monkeypatch):
+    """The arguments of every FieldElement built while the test runs."""
+    built = []
+    original = FieldElement.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(FieldElement, "__init__", counting_init)
+    return built
+
+
+def test_enumeration_builds_one_field_element_per_x(field_elements_built):
+    Curve(37, 2, 9).enumerate_points()
+    assert len(field_elements_built) == 37
+
+
 # -------------------------------------------------------------- point order
 
 def test_order_of_infinity(e37):
@@ -277,15 +329,7 @@ def test_point_equality_and_hash(e37):
     assert e37.infinity() != other.infinity()
 
 
-def test_group_law_builds_no_field_elements(e37, monkeypatch):
+def test_group_law_builds_no_field_elements(e37, field_elements_built):
     p, q = e37.point(9, 4), e37.point(10, 20)
-    built = []
-    original = FieldElement.__init__
-
-    def counting_init(self, *args):
-        built.append(args)
-        original(self, *args)
-
-    monkeypatch.setattr(FieldElement, "__init__", counting_init)
     [p + q, p + p, 23 * p, -p, hash(p), p == q]
-    assert built == []
+    assert field_elements_built == []

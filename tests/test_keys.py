@@ -104,6 +104,13 @@ def test_scalar_bounds_enforced(e37, e37_base):
     PrivateKey(42, secret, e37, e37_base)
 
 
+def test_huge_scalar_is_refused_with_a_short_message(e37, e37_base):
+    # 10**5000 has more digits than int-to-str conversion allows by default.
+    with pytest.raises(ValueError, match=r"^secret scalar must be in \[1, 42\], got ") as caught:
+        PrivateKey(10 ** 5000, e37.point(10, 20), e37, e37_base)
+    assert len(str(caught.value)) < 200
+
+
 def test_infinity_secret_point_rejected(e37, e37_base):
     with pytest.raises(ValueError):
         PrivateKey(5, e37.infinity(), e37, e37_base)
