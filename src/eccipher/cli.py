@@ -138,6 +138,14 @@ def _cmd_decrypt(args) -> int:
 
 # ------------------------------------------------------------------- parser
 
+def _int(text: str) -> int:
+    # type=int would do, but argparse's own message repeats the whole argument.
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {brief(text)}")
+
+
 def _gamma_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",")]
@@ -155,9 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
     curve_sub = curve.add_subparsers(dest="subcommand", required=True)
 
     init = curve_sub.add_parser("init", help="create a curve setup file")
-    init.add_argument("--p", type=int, required=True, help="prime modulus")
-    init.add_argument("--a", type=int, required=True, help="coefficient a")
-    init.add_argument("--b", type=int, required=True, help="coefficient b")
+    init.add_argument("--p", type=_int, required=True, help="prime modulus")
+    init.add_argument("--a", type=_int, required=True, help="coefficient a")
+    init.add_argument("--b", type=_int, required=True, help="coefficient b")
     init.add_argument("--base", required=True, metavar="X,Y", help="shared base point")
     init.add_argument("--table-base", metavar="X,Y",
                       help="point generating the code table (default: the base point)")
@@ -173,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     keygen_p.add_argument("--curve", required=True, help="curve setup file")
     keygen_p.add_argument("--out-private", required=True, help="private key output file")
     keygen_p.add_argument("--out-public", required=True, help="public key output file")
-    keygen_p.add_argument("--seed", type=int, help="deterministic rng seed")
-    keygen_p.add_argument("--alpha", type=int, help="explicit secret scalar")
+    keygen_p.add_argument("--seed", type=_int, help="deterministic rng seed")
+    keygen_p.add_argument("--alpha", type=_int, help="explicit secret scalar")
     keygen_p.add_argument("--point", metavar="X,Y", help="explicit secret point")
     keygen_p.set_defaults(handler=_cmd_keygen)
 
@@ -194,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     encrypt.add_argument("--message", required=True, help="plaintext over the table alphabet")
     encrypt.add_argument("--gammas", type=_gamma_list, metavar="G1,G2,...",
                          help="explicit nonce sequence, one per character")
-    encrypt.add_argument("--seed", type=int, help="deterministic rng seed")
+    encrypt.add_argument("--seed", type=_int, help="deterministic rng seed")
     encrypt.set_defaults(handler=_cmd_encrypt)
 
     decrypt = sub.add_parser("decrypt", help="decrypt a message")

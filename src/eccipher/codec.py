@@ -24,30 +24,14 @@ class UnknownPointError(ValueError):
 
 
 class CodeTable:
-    """A bijection between an alphabet and distinct points of one curve.
+    """The agreed code table: the i-th alphabet symbol is i * G.
 
-    Both ends of a conversation must hold the same table; it renders
-    plaintext symbols as message points and cipher points back as text.
-    Immutable after construction.
+    G is the table's generator, so the table is the first |alphabet|
+    multiples of G and its first symbol denotes the identity.  Both ends
+    of a conversation must hold the same table; it renders plaintext
+    symbols as message points and cipher points back as text.  Built only
+    by from_generator and immutable after construction.
     """
-
-    def __init__(self, curve: Curve, alphabet: str | Sequence[str], points: Sequence[Point]):
-        symbols = tuple(alphabet)
-        points = tuple(points)
-        if len(symbols) != len(points):
-            raise ValueError(f"{len(symbols)} symbols but {len(points)} points")
-        self._point_by_symbol = dict(zip(symbols, points))
-        if len(self._point_by_symbol) != len(symbols):
-            raise ValueError("alphabet symbols must be distinct")
-        self._symbol_by_point = dict(zip(points, symbols))
-        if len(self._symbol_by_point) != len(points):
-            raise ValueError("table points must be distinct")
-        for pt in points:
-            if pt.curve != curve:
-                raise ValueError(f"table point {pt} is not on {curve!r}")
-        self.curve = curve
-        self.symbols = symbols
-        self.points = points
 
     @classmethod
     def from_generator(cls, curve: Curve, generator: Point,
@@ -57,29 +41,36 @@ class CodeTable:
         Index 0 is the identity, so the first symbol always denotes
         infinity.  The walk fails if it meets the identity again before
         the alphabet is used up: the generator's order must be at least
-        the alphabet size or the mapping would repeat points.
+        the alphabet size or the mapping would repeat points.  Below that
+        order the multiples are distinct points of the curve, so only the
+        symbols need checking.
         """
         if generator.curve != curve:
             raise ValueError("generator belongs to a different curve")
-        symbols = tuple(alphabet)
-        points = []
+        table = object.__new__(cls)
+        table.curve = curve
+        table._point_by_symbol = {}
+        table._symbol_by_point = {}
         current = curve.infinity()
-        for index in range(len(symbols)):
+        for index, symbol in enumerate(alphabet):
             if index and current.is_infinity:
                 raise AlphabetTooLargeError(
-                    f"alphabet has {len(symbols)} symbols but the generator "
+                    f"alphabet has {len(alphabet)} symbols but the generator "
                     f"only addresses {index} points"
                 )
-            points.append(current)
+            table._point_by_symbol[symbol] = current
+            table._symbol_by_point[current] = symbol
             current = current + generator
-        return cls(curve, symbols, points)
+        if len(table._point_by_symbol) != len(alphabet):
+            raise ValueError("alphabet symbols must be distinct")
+        return table
 
     @property
     def alphabet(self) -> str:
-        return "".join(self.symbols)
+        return "".join(self._point_by_symbol)
 
     def __len__(self) -> int:
-        return len(self.symbols)
+        return len(self._point_by_symbol)
 
     def encode_symbol(self, symbol: str) -> Point:
         try:

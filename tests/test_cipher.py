@@ -64,7 +64,7 @@ def test_misprinted_transcription_decrypts_to_near_miss(alice_from_bob):
 
 def test_exhaustive_round_trip_over_all_points_and_nonces(e37, e37_table,
                                                           bob_to_alice, alice_from_bob):
-    for message_point in e37_table.points:
+    for message_point in e37_table.encode_message(e37_table.alphabet):
         for nonce in range(1, 43):
             pair = encrypt_point(bob_to_alice, message_point, nonce)
             assert decrypt_point(alice_from_bob, pair) == message_point
@@ -147,7 +147,7 @@ def test_e2_can_be_infinity_and_renders_as_star(e37, e37_table, bob_to_alice,
                                                 alice_from_bob):
     # Search the nonce space for a pair whose E2 is the identity.
     hits = []
-    for symbol in e37_table.symbols:
+    for symbol in e37_table.alphabet:
         m = e37_table.encode_symbol(symbol)
         for nonce in range(1, 43):
             pair = encrypt_point(bob_to_alice, m, nonce)

@@ -400,6 +400,31 @@ def test_long_values_are_cut_short_in_errors(run_cli, workdir, edit, command, pr
     assert len(result.stderr.encode("utf-8")) < 200, result.stderr[:300]
 
 
+_ENCRYPT = ("encrypt", "--private", "bob.priv", "--peer-public", "alice.pub",
+            "--peer-specific", "alice_for_bob.spec", "--message", "a")
+
+
+# "9" * 5000 is past int()'s digit limit, "x" * 3000 is no integer at all.
+@pytest.mark.parametrize("value", ["9" * 5000, _LONG_TEXT], ids=["digits", "text"])
+@pytest.mark.parametrize("command, option", [
+    (_INIT, "--p"),
+    (("curve", "init", "--p", "37", "--b", "9", "--out", "c.ecff"), "--a"),
+    (("curve", "init", "--p", "37", "--a", "2", "--out", "c.ecff"), "--b"),
+    (_KEYGEN, "--seed"),
+    (_KEYGEN, "--alpha"),
+    (_ENCRYPT, "--seed"),
+], ids=["init-p", "init-a", "init-b", "keygen-seed", "keygen-alpha", "encrypt-seed"])
+def test_long_int_arguments_are_cut_short(run_cli, tmp_path, command, option, value):
+    # Usage errors print the fixed usage text first; the error is the last line.
+    result = run_cli(*command, option, value, cwd=tmp_path)
+    assert result.returncode == 1, result.stderr[:300]
+    error = result.stderr.splitlines()[-1]
+    assert f"error: argument {option}: invalid int value: " in error, result.stderr[:300]
+    assert f"({len(value)} characters)" in error
+    assert len(error.encode("utf-8")) < 200, result.stderr[:300]
+    assert value[:21] not in result.stderr
+
+
 def test_missing_file_is_a_data_error(run_cli, workdir):
     result = run_cli("curve", "points", "--curve", "nope.ecff", cwd=workdir)
     assert result.returncode == 2, result.stderr

@@ -11,6 +11,7 @@ from eccipher import (
     DEFAULT_ALPHABET,
     UnknownPointError,
     UnknownSymbolError,
+    slow_scalar_mul,
 )
 
 _CURVE = Curve(vectors.P, vectors.A, vectors.B)
@@ -59,7 +60,7 @@ def test_unknown_symbol_raises():
 def test_unknown_point_raises():
     small = Curve(5, 1, 1)
     small_table = CodeTable.from_generator(small, small.point(0, 1), "*abc")
-    assert small.point(0, 4) not in small_table.points
+    assert small.point(0, 4) not in small_table.encode_message(small_table.alphabet)
     with pytest.raises(UnknownPointError):
         small_table.decode_point(small.point(0, 4))
 
@@ -79,7 +80,8 @@ def test_encode_reports_first_bad_position():
 
 
 def test_table_points_are_pairwise_distinct():
-    assert len(set(_TABLE.points)) == len(_TABLE.points) == 43
+    points = _TABLE.encode_message(_TABLE.alphabet)
+    assert len(set(points)) == len(points) == 43
 
 
 def test_alphabet_longer_than_generator_order_rejected():
@@ -88,7 +90,7 @@ def test_alphabet_longer_than_generator_order_rejected():
 
 
 def test_duplicate_symbols_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="symbols must be distinct"):
         CodeTable.from_generator(_CURVE, _CURVE.point(5, 25), "aa")
 
 
@@ -98,28 +100,42 @@ def test_generator_from_other_curve_rejected():
         CodeTable.from_generator(_CURVE, other.point(0, 1), "*a")
 
 
-_G = _CURVE.point(*vectors.TABLE_POINT)
-_FOREIGN = Curve(5, 1, 1).point(0, 1)
-
-
-@pytest.mark.parametrize("symbols, points, message", [
-    ("*ab", [_CURVE.infinity(), _G], "3 symbols but 2 points"),
-    ("*aa", [_CURVE.infinity(), _G, 2 * _G], "symbols must be distinct"),
-    ("*ab", [_CURVE.infinity(), _G, _G], "points must be distinct"),
-    ("*ab", [_CURVE.infinity(), _G, _FOREIGN], "not on"),
-])
-def test_table_constructor_rejects_bad_input(symbols, points, message):
-    with pytest.raises(ValueError, match=message):
-        CodeTable(_CURVE, symbols, points)
-
-
 def test_from_generator_needs_no_group_order(e37_table):
     fresh = Curve(vectors.P, vectors.A, vectors.B)
     table = CodeTable.from_generator(fresh, fresh.point(*vectors.TABLE_POINT), vectors.ALPHABET)
-    assert dict(zip(table.symbols, table.points)) == dict(zip(e37_table.symbols, e37_table.points))
+    cells = dict(zip(table.alphabet, table.encode_message(table.alphabet)))
+    assert cells == dict(zip(e37_table.alphabet, e37_table.encode_message(e37_table.alphabet)))
     assert fresh.order is None
     empty = CodeTable.from_generator(fresh, fresh.point(*vectors.TABLE_POINT), "")
-    assert len(empty) == 0 and empty.points == ()
+    assert len(empty) == 0 and empty.encode_message(empty.alphabet) == []
+
+
+def _generator_of_each_order(p, a, b):
+    curve = Curve(p, a, b)
+    by_order = {}
+    for point in curve.enumerate_points():
+        by_order.setdefault(curve.order_of(point), point)
+    return [pytest.param(point, order, id=f"E{p}({a},{b})-order{order}")
+            for order, point in sorted(by_order.items())]
+
+
+# #E = 9, 43 and 1060: one generator for every point order these groups have.
+@pytest.mark.parametrize("generator, order", [
+    *_generator_of_each_order(5, 1, 1),
+    *_generator_of_each_order(31, 0, 3),
+    *_generator_of_each_order(1009, 7, 21),
+])
+def test_walk_matches_oracle_up_to_the_generators_order(generator, order):
+    curve = generator.curve
+    symbols = "".join(chr(0x4E00 + i) for i in range(order + 1))
+    table = CodeTable.from_generator(curve, generator, symbols[:order])
+    assert len(table) == order
+    for i, symbol in enumerate(symbols[:order]):
+        point = slow_scalar_mul(i, generator)
+        assert table.encode_symbol(symbol) == point
+        assert table.decode_point(point) == symbol
+    with pytest.raises(AlphabetTooLargeError, match=f"only addresses {order} points"):
+        CodeTable.from_generator(curve, generator, symbols)
 
 
 def test_shorter_alphabet_uses_prefix_of_multiples():
