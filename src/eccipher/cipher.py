@@ -96,8 +96,9 @@ def encrypt_point(ctx: EncryptionContext, message_point: Point, nonce: int) -> C
     e1 = nonce * private.base
     assert not e1.is_infinity, "nonce below the base order cannot annihilate it"
     k1, k2 = ctx.recipient_general.k1, ctx.recipient_general.k2
+    # scalar + nonce can pass #E; reduced mod #E, the product is the same.
     e2 = (message_point
-          + (private.scalar + nonce) * k1
+          + ((private.scalar + nonce) % private.curve.order) * k1
           - nonce * k2
           + ctx.recipient_specific.point)
     return CipherPair(e1, e2)

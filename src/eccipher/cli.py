@@ -22,10 +22,23 @@ DATA_ERROR = 2
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage by default; this tool reserves 2 for
-    # data errors.
+    # data errors.  Its own "invalid choice" and "unrecognized arguments"
+    # messages would repeat a long argument whole; they show brief() of it.
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices and brief(value) != repr(value):
+            raise argparse.ArgumentError(action, f"invalid choice: {brief(value)}")
+        super()._check_value(action, value)
+
+    def parse_args(self, args=None, namespace=None):
+        namespace, extras = self.parse_known_args(args, namespace)
+        if extras:
+            shown = (arg if brief(arg) == repr(arg) else brief(arg) for arg in extras)
+            self.error(f"unrecognized arguments: {' '.join(shown)}")
+        return namespace
 
 
 def _parse_point(curve: Curve, text: str) -> Point:
@@ -52,10 +65,8 @@ def _save(path: str, text: str) -> None:
 
 
 def _require_same_setup(*setups: keyfile.CurveSetup):
-    first = setups[0]
-    for other in setups[1:]:
-        if other != first:
-            raise ValueError("key files disagree on the curve setup")
+    if any(other != setups[0] for other in setups[1:]):
+        raise ValueError("key files disagree on the curve setup")
 
 
 def _make_rng(seed: int | None) -> random.Random:
@@ -71,10 +82,10 @@ def _cmd_curve_init(args) -> int:
     base = _parse_point(curve, args.base)
     table_point = base if args.table_base is None else _parse_point(curve, args.table_base)
     setup = keyfile.CurveSetup(curve, base, table_point, args.alphabet)
-    curve.enumerate_points()
+    group_order = curve.order  # an oversized p fails here, before any file is written
     setup.code_table()  # fails early if the alphabet does not fit
     _save(args.out, keyfile.render_curve_setup(setup))
-    print(f"group order = {curve.order}")
+    print(f"group order = {group_order}")
     print(f"base point order = {curve.order_of(base)}")
     return 0
 
@@ -88,7 +99,6 @@ def _cmd_curve_points(args) -> int:
 
 def _cmd_keygen(args) -> int:
     setup = _load(args.curve, keyfile.parse_curve_setup)
-    setup.curve.enumerate_points()
     if args.alpha is not None:
         secret_point = _parse_point(setup.curve, args.point)
         private, public = keys.keypair_from_secret(

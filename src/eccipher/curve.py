@@ -23,8 +23,8 @@ class CurveTooLargeError(ValueError):
 class Curve:
     """The group of points of y^2 = x^3 + ax + b over Z_p, p > 3 prime.
 
-    The number of points (including infinity) is unknown until
-    enumerate_points() has run once; it is then cached on the curve.
+    The curve counts its own group: the first read of `order` enumerates
+    the points (so it refuses p > 2**20) and caches their number.
     Instances are immutable apart from that one idempotent cache write,
     and all point operations are pure, so curves and points can be shared
     freely across threads.
@@ -37,14 +37,14 @@ class Curve:
         self.a = a % self.p
         self.b = b % self.p
         if (4 * self.a ** 3 + 27 * self.b ** 2) % self.p == 0:
-            raise SingularCurveError(
-                f"4a^3 + 27b^2 = 0 mod {self.p}: curve is singular"
-            )
+            raise SingularCurveError(f"4a^3 + 27b^2 = 0 mod {self.p}: curve is singular")
         self._order = None
 
     @property
-    def order(self) -> int | None:
-        """Number of points including infinity, or None if not yet counted."""
+    def order(self) -> int:
+        """Number of points including infinity, enumerated on first read."""
+        if self._order is None:
+            self.enumerate_points()
         return self._order
 
     def is_on_curve(self, x: int, y: int) -> bool:
@@ -52,9 +52,7 @@ class Curve:
 
     def contains(self, point: Point) -> bool:
         """True iff the point is infinity or satisfies this curve's equation."""
-        if point.is_infinity:
-            return True
-        return self.is_on_curve(point.x, point.y)
+        return point.is_infinity or self.is_on_curve(point.x, point.y)
 
     def point(self, x, y) -> Point:
         return Point(self, x, y)
@@ -65,12 +63,10 @@ class Curve:
     def enumerate_points(self) -> list[Point]:
         """All points: infinity first, then ascending x, each root pair in turn.
 
-        Also caches the group order on the curve.  Refuses p > 2**20.
+        Also fills the curve's `order` cache.  Refuses p > 2**20.
         """
         if self.p > ENUMERATION_LIMIT:
-            raise CurveTooLargeError(
-                f"p = {self.p} exceeds enumeration limit 2**20"
-            )
+            raise CurveTooLargeError(f"p = {self.p} exceeds enumeration limit 2**20")
         points = [self.infinity()]
         a, b = self.a, self.b
         for x in range(self.p):
@@ -85,15 +81,12 @@ class Curve:
     def order_of(self, point: Point) -> int:
         """Order of a point: the least m > 0 with m*point = infinity.
 
-        Requires the group order n, i.e. enumerate_points() must have run.
-        Starting from m = n, each prime q of n is stripped from m while
+        Starting from m = #E, each prime q of #E is stripped from m while
         (m/q)*point is still infinity; what remains is the order.
         """
-        m = self._order
-        if m is None:
-            raise ValueError("group order unknown: call enumerate_points() first")
         if point.curve != self:
             raise ValueError("point belongs to a different curve")
+        m = self.order
         for q in _prime_factors(m):
             while m % q == 0 and ((m // q) * point).is_infinity:
                 m //= q
@@ -203,14 +196,11 @@ class Point:
         return self + (-other)
 
     def __rmul__(self, k: int) -> Point:
-        """k * P by double-and-add; k is reduced mod the group order if known."""
+        """k * P by double-and-add on k as given."""
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
             raise ValueError("scalar must be non-negative")
-        n = self.curve.order
-        if n is not None:
-            k %= n
         result = Point(self.curve)
         addend = self
         while k:

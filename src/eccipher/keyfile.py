@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from ._messages import brief
 from .codec import CodeTable
-from .curve import Curve, Point, PointNotOnCurveError, SingularCurveError
+from .curve import Curve, CurveTooLargeError, Point, PointNotOnCurveError, SingularCurveError
 from .field import Prime
 from .keys import GeneralPublicKey, PrivateKey, SpecificPublicKey, keypair_from_secret
 
@@ -255,15 +255,14 @@ def parse_curve_setup(text: str) -> CurveSetup:
 def parse_private_key(text: str) -> PrivateKeyFile:
     setup, (scalar, secret_point, pub1, pub2), ends = _parse(text, KIND_PRIVATE)
     scalar_line, _, pub1_line, _ = ends
-    setup.curve.enumerate_points()
     try:
         private, public = keypair_from_secret(setup.curve, setup.base, scalar, secret_point)
+    except CurveTooLargeError:
+        raise  # a fact of the curve, not of the scalar's line
     except ValueError as exc:
         raise KeyFileError(f"line {scalar_line}: {exc}") from None
     if public.k1 != pub1 or public.k2 != pub2:
-        raise KeyFileError(
-            f"line {pub1_line}: stored public key does not match the private key"
-        )
+        raise KeyFileError(f"line {pub1_line}: stored public key does not match the private key")
     return PrivateKeyFile(setup, private, public)
 
 

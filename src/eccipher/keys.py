@@ -19,8 +19,7 @@ from .curve import Curve, Point
 class PrivateKey:
     """A party's secrets: scalar in [1, n-1] and a non-identity curve point.
 
-    n is the order of the shared base point, which must already be known
-    (the curve must have been enumerated).
+    n is the order of the shared base point.
     """
 
     scalar: int

@@ -37,9 +37,7 @@ def run_cli():
 
 @pytest.fixture(scope="session")
 def e37() -> ec.Curve:
-    curve = ec.Curve(vectors.P, vectors.A, vectors.B)
-    curve.enumerate_points()
-    return curve
+    return ec.Curve(vectors.P, vectors.A, vectors.B)
 
 
 @pytest.fixture(scope="session")
@@ -104,13 +102,23 @@ def alice_from_bob(e37_table, demo_keys) -> ec.DecryptionContext:
 
 @pytest.fixture(scope="session")
 def e31() -> ec.Curve:
-    curve = ec.Curve(vectors.ALT_P, vectors.ALT_A, vectors.ALT_B)
-    curve.enumerate_points()
-    return curve
+    return ec.Curve(vectors.ALT_P, vectors.ALT_A, vectors.ALT_B)
 
 
 @pytest.fixture(scope="session")
 def e1009() -> ec.Curve:
-    curve = ec.Curve(vectors.MID_P, vectors.MID_A, vectors.MID_B)
-    curve.enumerate_points()
-    return curve
+    return ec.Curve(vectors.MID_P, vectors.MID_A, vectors.MID_B)
+
+
+@pytest.fixture()
+def enumerations(monkeypatch):
+    """The curve of every enumerate_points() call made while the test runs."""
+    enumerated = []
+    original = ec.Curve.enumerate_points
+
+    def counting_enumerate(self):
+        enumerated.append(self)
+        return original(self)
+
+    monkeypatch.setattr(ec.Curve, "enumerate_points", counting_enumerate)
+    return enumerated

@@ -168,7 +168,6 @@ def test_cross_curve_ciphertext_rejected(alice_from_bob):
 
 def test_context_rejects_mixed_curves(e37, e37_table, demo_keys):
     other = Curve(5, 1, 1)
-    other.enumerate_points()
     other_table = CodeTable.from_generator(other, other.point(0, 1), "*abcdefgh")
     with pytest.raises(ValueError):
         EncryptionContext(demo_keys.bob_private, demo_keys.alice_public,

@@ -1,5 +1,7 @@
 """The command-line interface, driven as a real subprocess (see `run_cli`)."""
 
+import argparse
+
 import pytest
 
 import vectors
@@ -97,12 +99,7 @@ def test_curve_init_rejects_alphabet_larger_than_group(run_cli, tmp_path):
     assert "alphabet" in result.stderr
 
 
-def test_curve_points_refuses_oversized_modulus(run_cli, tmp_path):
-    # Hand-built file: curve init cannot create one this large because it
-    # must count the points.
-    big = """\
-format = ecff-v1
-kind = curve
+_BIG_SETUP = """\
 p = 1048583
 a = 0
 b = 1
@@ -112,10 +109,38 @@ table.x = 2
 table.y = 3
 alphabet = *ab
 """
-    (tmp_path / "big.ecff").write_text(big)
+
+
+def test_curve_points_refuses_oversized_modulus(run_cli, tmp_path):
+    # Hand-built file: curve init cannot create one this large because it
+    # must count the points.
+    (tmp_path / "big.ecff").write_text("format = ecff-v1\nkind = curve\n" + _BIG_SETUP)
     result = run_cli("curve", "points", "--curve", "big.ecff", cwd=tmp_path)
     assert result.returncode == 2, result.stderr
     assert "2**20" in result.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ("curve", "init", "--p", "1048583", "--a", "0", "--b", "1", "--base", "2,3",
+     "--out", "out.ecff"),
+    ("keygen", "--curve", "big.ecff", "--out-private", "out.priv", "--out-public", "out.pub"),
+    ("derive-specific", "--private", "big.priv", "--peer-public", "big.pub", "--out", "out.spec"),
+], ids=["curve-init", "keygen", "derive-specific"])
+def test_oversized_modulus_is_refused_before_any_output(run_cli, tmp_path, command):
+    # The size is a fact of the curve: no message cites a key-file line for it.
+    (tmp_path / "big.ecff").write_text("format = ecff-v1\nkind = curve\n" + _BIG_SETUP)
+    (tmp_path / "big.priv").write_text(
+        "format = ecff-v1\nkind = private\n" + _BIG_SETUP
+        + "alpha = 5\npoint.x = 2\npoint.y = 3\npub1 = inf\npub2 = inf\n"
+    )
+    (tmp_path / "big.pub").write_text(
+        "format = ecff-v1\nkind = public-general\n" + _BIG_SETUP + "pub1 = inf\npub2 = inf\n"
+    )
+    result = run_cli(*command, cwd=tmp_path)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == "error: p = 1048583 exceeds enumeration limit 2**20\n"
+    assert result.stdout == ""
+    assert not list(tmp_path.glob("out.*"))
 
 
 # ------------------------------------------------------------------ keygen
@@ -433,6 +458,35 @@ def test_missing_file_is_a_data_error(run_cli, workdir):
 def test_unknown_subcommand_is_a_usage_error(run_cli, tmp_path):
     result = run_cli("frobnicate", cwd=tmp_path)
     assert result.returncode == 1, result.stderr
+
+
+@pytest.mark.parametrize("command", [
+    (_LONG_TEXT,),
+    ("curve", _LONG_TEXT),
+    ("curve", "points", "--curve", "a.ecff", _LONG_TEXT),
+], ids=["command", "subcommand", "unrecognized"])
+def test_long_unknown_arguments_are_cut_short(run_cli, tmp_path, command):
+    result = run_cli(*command, cwd=tmp_path)
+    assert result.returncode == 1, result.stderr[:300]
+    error = result.stderr.splitlines()[-1]
+    assert len(error.encode("utf-8")) < 200, result.stderr[:300]
+    assert f"({len(_LONG_TEXT)} characters)" in error
+    assert _LONG_TEXT[:21] not in result.stderr
+
+
+def test_short_unknown_arguments_keep_argparse_wording(run_cli, tmp_path):
+    stock = argparse.ArgumentParser(prog="eccipher curve", exit_on_error=False)
+    subcommands = stock.add_subparsers(dest="subcommand")
+    subcommands.add_parser("init")
+    subcommands.add_parser("points")
+    with pytest.raises(argparse.ArgumentError) as caught:
+        stock.parse_args(["nope"])
+    result = run_cli("curve", "nope", cwd=tmp_path)
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.splitlines()[-1] == f"eccipher curve: error: {caught.value}"
+    result = run_cli("curve", "points", "--curve", "a.ecff", "extra", "x", cwd=tmp_path)
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.splitlines()[-1] == "eccipher: error: unrecognized arguments: extra x"
 
 
 def test_missing_required_flag_is_a_usage_error(run_cli, tmp_path):

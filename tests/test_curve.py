@@ -141,10 +141,24 @@ def test_scalar_reduces_mod_group_order(e37):
     assert 86 * g == 0 * g
 
 
-def test_scalar_mul_correct_before_order_is_known():
-    curve = Curve(37, 2, 9)  # fresh curve, order cache empty
-    assert curve.order is None
-    assert 44 * curve.point(5, 25) == curve.point(5, 25)
+def test_scalar_mul_correct_before_order_is_known(enumerations, monkeypatch):
+    # k * P is the same double-and-add on k whether or not #E is known yet.
+    additions = []
+    original = Point.__add__
+
+    def counting_add(self, other):
+        additions.append(self.curve)
+        return original(self, other)
+
+    monkeypatch.setattr(Point, "__add__", counting_add)
+    fresh, counted = Curve(37, 2, 9), Curve(37, 2, 9)
+    counted.enumerate_points()
+    assert 44 * fresh.point(5, 25) == fresh.point(5, 25)
+    assert 44 * counted.point(5, 25) == counted.point(5, 25)
+    assert len(enumerations) == 1 and enumerations[0] is counted
+    on_fresh = [curve for curve in additions if curve is fresh]
+    on_counted = [curve for curve in additions if curve is counted]
+    assert len(on_fresh) == len(on_counted) > 0
 
 
 def test_negative_scalar_rejected(e37):
@@ -194,11 +208,20 @@ def test_enumeration_includes_both_roots_of_x_zero(e37):
     assert {"(0,34)", "(0,3)"} <= rendered
 
 
-def test_enumeration_sets_order_cache():
+def test_enumeration_sets_order_cache(enumerations):
     curve = Curve(37, 2, 9)
-    assert curve.order is None
     curve.enumerate_points()
     assert curve.order == 43
+    assert enumerations == [curve]
+
+
+def test_order_is_counted_once_on_first_read(enumerations):
+    curve = Curve(37, 2, 9)
+    assert curve.order == 43
+    assert enumerations == [curve]
+    assert curve.order == 43
+    assert curve.order_of(curve.point(9, 4)) == 43
+    assert enumerations == [curve]
 
 
 @pytest.mark.parametrize("params", [(5, 1, 1), (31, 0, 3), (41, 3, 7), (1009, 7, 21)])
@@ -286,10 +309,10 @@ def test_order_of_points_in_prime_order_group(e37):
         assert steps == 43
 
 
-def test_order_of_requires_enumeration_first():
-    curve = Curve(37, 2, 9)
-    with pytest.raises(ValueError, match="enumerate"):
-        curve.order_of(curve.point(9, 4))
+def test_oversized_curve_refuses_order_of():
+    curve = Curve(1048583, 0, 1)  # prime just above 2**20
+    with pytest.raises(CurveTooLargeError, match=r"^p = 1048583 exceeds enumeration limit 2\*\*20$"):
+        curve.order_of(curve.point(2, 3))
 
 
 def test_point_order_divides_group_order(e1009):
@@ -303,14 +326,16 @@ def test_point_order_divides_group_order(e1009):
 @pytest.mark.parametrize("params", [(5, 1, 1), (31, 0, 3), (37, 2, 9), (1009, 7, 21)])
 def test_order_of_matches_repeated_addition(params):
     # #E is 9 = 3^2 on E_5(1,1) and 1060 = 2^2*5*53 on E_1009(7,21), so the
-    # prime stripping divides by one prime more than once.
-    curve = Curve(*params)
-    for point in curve.enumerate_points():
+    # prime stripping divides by one prime more than once.  The points are
+    # asked of a fresh curve, which counts its group on the first order_of.
+    curve, listing = Curve(*params), Curve(*params)
+    for listed in listing.enumerate_points():
+        point = curve.infinity() if listed.is_infinity else curve.point(listed.x, listed.y)
         acc, steps = point, 1
         while not acc.is_infinity:
             acc = acc + point
             steps += 1
-        assert curve.order_of(point) == steps, point
+        assert curve.order_of(point) == listing.order_of(listed) == steps, point
 
 
 # ---------------------------------------------------------------- rendering

@@ -123,7 +123,6 @@ def test_private_file_round_trips_for_any_secrets(scalar, point_factor):
 
 
 _ROUND_TRIP_CURVE = Curve(vectors.P, vectors.A, vectors.B)
-_ROUND_TRIP_CURVE.enumerate_points()
 
 _NAME_CHARS = st.text(
     alphabet=st.characters(codec="ascii", exclude_characters="\n"), max_size=12

@@ -5,7 +5,14 @@ import random
 import pytest
 
 import vectors
-from eccipher import Curve, PrivateKey, derive_specific, keygen, keypair_from_secret
+from eccipher import (
+    Curve,
+    CurveTooLargeError,
+    PrivateKey,
+    derive_specific,
+    keygen,
+    keypair_from_secret,
+)
 
 
 def test_alice_key_vector(e37, e37_base):
@@ -83,15 +90,22 @@ def test_keygen_scalars_and_points_stay_in_range(e37, e37_base):
         assert e37.contains(private.point)
 
 
-def test_keygen_requires_known_order():
-    curve = Curve(37, 2, 9)
-    with pytest.raises(ValueError):
-        keygen(curve, curve.point(9, 4), random.Random(1))
+def test_keygen_on_fresh_curve_matches_primed_curve():
+    fresh = Curve(37, 2, 9)
+    primed = Curve(37, 2, 9)
+    primed.enumerate_points()
+    assert (keygen(fresh, fresh.point(9, 4), random.Random(1))
+            == keygen(primed, primed.point(9, 4), random.Random(1)))
+
+
+def test_keygen_refuses_oversized_curve():
+    curve = Curve(1048583, 0, 1)  # prime just above 2**20
+    with pytest.raises(CurveTooLargeError, match=r"^p = 1048583 exceeds enumeration limit 2\*\*20$"):
+        keygen(curve, curve.point(2, 3), random.Random(1))
 
 
 def test_keygen_rejects_foreign_base(e37):
     other = Curve(5, 1, 1)
-    other.enumerate_points()
     with pytest.raises(ValueError):
         keygen(e37, other.point(0, 1), random.Random(1))
 
