@@ -144,12 +144,11 @@ def encrypt_message(ctx: EncryptionContext, message: str,
                 nonce = rng.randrange(1, n)
             used.add(nonce)
             chosen.append(nonce)
-    out = []
+    cipher_points = []
     for message_point, nonce in zip(points, chosen):
         pair = encrypt_point(ctx, message_point, nonce)
-        out.append(ctx.table.decode_point(pair.e1))
-        out.append(ctx.table.decode_point(pair.e2))
-    return "".join(out)
+        cipher_points += (pair.e1, pair.e2)
+    return ctx.table.decode_message(cipher_points)
 
 
 def decrypt_message(ctx: DecryptionContext, ciphertext: str) -> str:
@@ -159,8 +158,5 @@ def decrypt_message(ctx: DecryptionContext, ciphertext: str) -> str:
             f"ciphertext length must be even, got {len(ciphertext)}"
         )
     points = ctx.table.encode_message(ciphertext)
-    out = []
-    for e1, e2 in zip(points[0::2], points[1::2]):
-        message_point = decrypt_point(ctx, CipherPair(e1, e2))
-        out.append(ctx.table.decode_point(message_point))
-    return "".join(out)
+    return ctx.table.decode_message([decrypt_point(ctx, CipherPair(e1, e2))
+                                     for e1, e2 in zip(points[0::2], points[1::2])])

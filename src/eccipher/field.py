@@ -92,10 +92,10 @@ class FieldElement:
         """
         if self.residue == 0:
             return (0,)
-        if self.legendre() != 1:
-            return None
         p = int(self.modulus)
         r = _tonelli_shanks(self.residue, p)
+        if r is None:
+            return None
         return (r, p - r)
 
     def __repr__(self) -> str:
@@ -116,17 +116,25 @@ def _tonelli_constants(p: int) -> tuple[int, int, int]:
     return q, s, pow(z, q, p)
 
 
-def _tonelli_shanks(n: int, p: int) -> int:
-    """One square root of the quadratic residue n mod the odd prime p."""
+def _tonelli_shanks(n: int, p: int) -> int | None:
+    """One square root of n mod the odd prime p, or None for a non-residue.
+
+    One exponentiation, u = n**((q-1)/2), gives both r = n**((q+1)/2) and
+    t = n**q.  A non-residue has t**(2**(s-1)) = n**((p-1)/2) = -1, so the
+    first squaring loop only returns to 1 after all s steps.
+    """
     q, s, c = _tonelli_constants(p)
-    r = pow(n, (q + 1) // 2, p)
-    t = pow(n, q, p)
+    u = pow(n, (q - 1) // 2, p)
+    r = u * n % p
+    t = u * r % p
     m = s
     while t != 1:
         i, probe = 0, t
         while probe != 1:
             probe = probe * probe % p
             i += 1
+        if i == m:
+            return None
         b = pow(c, 1 << (m - i - 1), p)
         r = r * b % p
         t = t * b % p * b % p

@@ -1,5 +1,12 @@
 """Code-table construction and symbol/point conversion."""
 
+import math
+import random
+import re
+import sys
+import threading
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +16,7 @@ from eccipher import (
     CodeTable,
     Curve,
     DEFAULT_ALPHABET,
+    Point,
     UnknownPointError,
     UnknownSymbolError,
     slow_scalar_mul,
@@ -128,14 +136,98 @@ def _generator_of_each_order(p, a, b):
 def test_walk_matches_oracle_up_to_the_generators_order(generator, order):
     curve = generator.curve
     symbols = "".join(chr(0x4E00 + i) for i in range(order + 1))
-    table = CodeTable.from_generator(curve, generator, symbols[:order])
+    alphabet = symbols[:order]
+    multiples = [slow_scalar_mul(i, generator) for i in range(order)]
+    # One lookup per call: the prefix stays at ceil(sqrt(N)) multiples.
+    table = CodeTable.from_generator(curve, generator, alphabet)
     assert len(table) == order
-    for i, symbol in enumerate(symbols[:order]):
-        point = slow_scalar_mul(i, generator)
+    for symbol, point in zip(alphabet, multiples):
         assert table.encode_symbol(symbol) == point
         assert table.decode_point(point) == symbol
+    # One batch of N: the prefix grows to the whole walk.
+    batch = CodeTable.from_generator(curve, generator, alphabet)
+    assert batch.decode_message(multiples) == alphabet
+    assert batch.encode_message(alphabet) == multiples
+    # Batches of five: a prefix between the two, reached in steps.
+    chunked = CodeTable.from_generator(curve, generator, alphabet)
+    for start in range(0, order, 5):
+        chunk = alphabet[start:start + 5]
+        assert chunked.encode_message(chunk) == multiples[start:start + 5]
+        assert chunked.decode_message(multiples[start:start + 5]) == chunk
     with pytest.raises(AlphabetTooLargeError, match=f"only addresses {order} points"):
         CodeTable.from_generator(curve, generator, symbols)
+
+
+def test_points_outside_the_table_raise():
+    # E_1009(7,21) has #E = 1060; a generator of order 530 and a 300-symbol
+    # alphabet leave points outside <G> and multiples with index >= N.
+    curve = Curve(vectors.MID_P, vectors.MID_A, vectors.MID_B)
+    points = curve.enumerate_points()
+    generator = next(pt for pt in points if curve.order_of(pt) == 530)
+    alphabet = "".join(chr(0x4E00 + i) for i in range(300))
+    table = CodeTable.from_generator(curve, generator, alphabet)
+    multiples = [slow_scalar_mul(i, generator) for i in range(300)]
+    symbol_of = dict(zip(multiples, alphabet))
+    outside = [pt for pt in points if pt not in symbol_of]
+    assert len(outside) == 1060 - 300
+    assert slow_scalar_mul(300, generator) in outside
+    assert slow_scalar_mul(529, generator) in outside
+    for point in points:
+        if point in symbol_of:
+            assert table.decode_point(point) == symbol_of[point]
+            continue
+        with pytest.raises(UnknownPointError, match="is not in the code table"):
+            table.decode_point(point)
+        with pytest.raises(UnknownPointError, match=re.escape(f"point {point} is not")):
+            table.decode_message(multiples + [point])
+
+
+def test_point_on_another_curve_with_equal_coordinates_raises():
+    # (0,3) lies on both E_37(2,9) and E_37(3,9): y^2 = 9 at x = 0.
+    twin = Curve(37, 3, 9).point(0, 3)
+    same = Curve(37, 2, 9).point(0, 3)
+    fresh = CodeTable.from_generator(_CURVE, _CURVE.point(*vectors.TABLE_POINT))
+    full = CodeTable.from_generator(_CURVE, _CURVE.point(*vectors.TABLE_POINT))
+    full.decode_message(full.encode_message(full.alphabet))
+    for table in (fresh, full):
+        assert table.decode_point(same) == _TABLE.decode_point(_CURVE.point(0, 3))
+        for stranger in (twin, twin.curve.infinity()):
+            with pytest.raises(UnknownPointError, match="is not in the code table"):
+                table.decode_point(stranger)
+            with pytest.raises(UnknownPointError, match="is not in the code table"):
+                table.decode_message([same, stranger])
+
+
+@pytest.fixture()
+def additions(monkeypatch):
+    """Every Point.__add__ call made while the test runs, as (P, Q)."""
+    made = []
+    original = Point.__add__
+
+    def counting_add(self, other):
+        made.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(Point, "__add__", counting_add)
+    return made
+
+
+def test_a_batch_costs_a_prefix_and_giant_steps_not_the_whole_walk(additions):
+    # E_16381(2,9): #E = 16473 and (2,9880) generates the whole group.
+    curve = Curve(16381, 2, 9)
+    generator = curve.point(2, 9880)
+    size, batch = 16473, 40
+    alphabet = "".join(chr(0x4E00 + i) for i in range(size))
+    message = "".join(random.Random(7).choices(alphabet, k=batch))
+    table = CodeTable.from_generator(curve, generator, alphabet)
+    points = table.encode_message(message)
+    assert table.decode_message(points) == message
+    cost = len(additions)
+    baby = math.isqrt(size - 1) + 1
+    prefix = math.isqrt(batch * size - 1) + 1
+    coverage = baby + -(-size // baby)
+    assert cost <= coverage + prefix + batch * -(-size // prefix)
+    assert points == [alphabet.index(symbol) * generator for symbol in message]
 
 
 def test_shorter_alphabet_uses_prefix_of_multiples():
@@ -147,3 +239,46 @@ def test_shorter_alphabet_uses_prefix_of_multiples():
 @given(st.text(alphabet=DEFAULT_ALPHABET, max_size=40))
 def test_round_trip(message):
     assert _TABLE.decode_message(_TABLE.encode_message(message)) == message
+
+
+def test_threads_sharing_a_table_see_one_growing_prefix():
+    # Threads grow fresh shared tables at staggered moments: every lookup
+    # stays right, and each prefix ends at the largest batch's size, so no
+    # growth was lost to a smaller one published later.
+    curve = Curve(vectors.MID_P, vectors.MID_A, vectors.MID_B)
+    generator = next(pt for pt in curve.enumerate_points() if curve.order_of(pt) == 530)
+    alphabet = "".join(chr(0x4E00 + i) for i in range(530))
+    multiples = [slow_scalar_mul(i, generator) for i in range(530)]
+    batches = [2, 5, 13, 34, 89, 144, 233]
+    rounds = 12
+    tables = [CodeTable.from_generator(curve, generator, alphabet) for _ in range(rounds)]
+    start = threading.Barrier(len(batches))
+    errors = []
+
+    def worker(batch):
+        rng = random.Random(batch)
+        try:
+            for table in tables:
+                indices = [rng.randrange(530) for _ in range(batch)]
+                message = "".join(alphabet[i] for i in indices)
+                start.wait(timeout=60)
+                time.sleep(rng.random() / 1000)
+                assert table.encode_message(message) == [multiples[i] for i in indices]
+                assert table.decode_message([multiples[i] for i in indices]) == message
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(batch,)) for batch in batches]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    largest = math.isqrt(max(batches) * 530 - 1) + 1
+    assert [len(table._walk[0]) for table in tables] == [largest] * rounds

@@ -99,7 +99,9 @@ def test_sqrt_of_zero():
     assert fe(0).sqrt() == (0,)
 
 
-@pytest.mark.parametrize("p", [5, 31, 37, 41, 1009, 7919])
+# 40961 - 1 = 5 * 2**13 and 65537 - 1 = 2**16: deep 2-adic primes, where a
+# non-residue runs the first Tonelli-Shanks squaring loop to its end.
+@pytest.mark.parametrize("p", [5, 31, 37, 41, 1009, 7919, 40961, 65537])
 def test_sqrt_roots_square_back_and_cancel(p):
     prime = Prime(p)
     brute_roots = {}
