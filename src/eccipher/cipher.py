@@ -19,9 +19,9 @@ the shared code table yields two ciphertext symbols per plaintext symbol.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from ._messages import brief
+from ._record import Record
 from .codec import CodeTable
 from .curve import Point
 from .keys import GeneralPublicKey, PrivateKey, SpecificPublicKey
@@ -39,49 +39,52 @@ class MessageTooLongError(ValueError):
     """Message needs more distinct nonces than the base point order allows."""
 
 
-@dataclass(frozen=True)
-class CipherPair:
+class CipherPair(Record):
     """The two cipher points of one plaintext symbol."""
 
-    e1: Point
-    e2: Point
+    __slots__ = ("e1", "e2")
+
+    def __init__(self, e1: Point, e2: Point):
+        self.e1 = e1
+        self.e2 = e2
 
 
-@dataclass(frozen=True)
 class EncryptionContext:
     """Everything the sender needs: own private key, the recipient's
     general and specific public keys, and the shared code table."""
 
-    sender_private: PrivateKey
-    recipient_general: GeneralPublicKey
-    recipient_specific: SpecificPublicKey
-    table: CodeTable
+    __slots__ = ("sender_private", "recipient_general", "recipient_specific", "table")
 
-    def __post_init__(self):
-        curve = self.sender_private.curve
-        for pt in (self.recipient_general.k1, self.recipient_general.k2,
-                   self.recipient_specific.point):
+    def __init__(self, sender_private: PrivateKey, recipient_general: GeneralPublicKey,
+                 recipient_specific: SpecificPublicKey, table: CodeTable):
+        self.sender_private = sender_private
+        self.recipient_general = recipient_general
+        self.recipient_specific = recipient_specific
+        self.table = table
+        curve = sender_private.curve
+        for pt in (recipient_general.k1, recipient_general.k2, recipient_specific.point):
             if pt.curve != curve:
                 raise ValueError("all context points must share one curve")
-        if self.table.curve != curve:
+        if table.curve != curve:
             raise ValueError("code table belongs to a different curve")
 
 
-@dataclass(frozen=True)
 class DecryptionContext:
     """Everything the recipient needs: own private key, the sender's first
     general public point, the sender's specific key, and the table."""
 
-    recipient_private: PrivateKey
-    sender_k1: Point
-    sender_specific: SpecificPublicKey
-    table: CodeTable
+    __slots__ = ("recipient_private", "sender_k1", "sender_specific", "table")
 
-    def __post_init__(self):
-        curve = self.recipient_private.curve
-        if self.sender_k1.curve != curve or self.sender_specific.point.curve != curve:
+    def __init__(self, recipient_private: PrivateKey, sender_k1: Point,
+                 sender_specific: SpecificPublicKey, table: CodeTable):
+        self.recipient_private = recipient_private
+        self.sender_k1 = sender_k1
+        self.sender_specific = sender_specific
+        self.table = table
+        curve = recipient_private.curve
+        if sender_k1.curve != curve or sender_specific.point.curve != curve:
             raise ValueError("all context points must share one curve")
-        if self.table.curve != curve:
+        if table.curve != curve:
             raise ValueError("code table belongs to a different curve")
 
 

@@ -63,18 +63,32 @@ class Curve:
     def enumerate_points(self) -> list[Point]:
         """All points: infinity first, then ascending x, each root pair in turn.
 
-        Also fills the curve's `order` cache.  Refuses p > 2**20.
+        A table of the squares mod p, one byte per residue, picks the x
+        whose x^3 + ax + b is a square or zero; only those x get a
+        `FieldElement` and its Tonelli-Shanks roots, so a non-residue costs
+        one table read.  Also fills the curve's `order` cache.  Refuses
+        p > 2**20, which bounds the table at 1 MiB.
         """
-        if self.p > ENUMERATION_LIMIT:
-            raise CurveTooLargeError(f"p = {self.p} exceeds enumeration limit 2**20")
+        p = self.p
+        if p > ENUMERATION_LIMIT:
+            raise CurveTooLargeError(f"p = {p} exceeds enumeration limit 2**20")
+        # y^2 = (y-1)^2 + (2y-1) for y = 1 .. (p-1)/2 marks every nonzero
+        # square; each running sum stays below 2p, so one subtraction reduces it.
+        is_square = bytearray(p)
+        is_square[0] = 1
+        square = 0
+        for odd in range(1, p, 2):
+            square += odd
+            if square >= p:
+                square -= p
+            is_square[square] = 1
         points = [self.infinity()]
         a, b = self.a, self.b
-        for x in range(self.p):
-            roots = FieldElement(x * x * x + a * x + b, self.p).sqrt()
-            if roots is None:
-                continue
-            for y in roots:
-                points.append(Point._unchecked(self, x, y))
+        for x in range(p):
+            rhs = (x * x * x + a * x + b) % p
+            if is_square[rhs]:
+                for y in FieldElement(rhs, p).sqrt():
+                    points.append(Point._unchecked(self, x, y))
         self._order = len(points)
         return points
 

@@ -2,7 +2,10 @@
 
 Field arithmetic itself is plain int arithmetic mod p (inverses by
 `pow(x, -1, p)`); `FieldElement` keeps only the Legendre symbol and the
-Tonelli-Shanks square root that point enumeration needs.
+Tonelli-Shanks square root that point enumeration needs.  Enumeration
+builds one per x whose x^3 + ax + b is a square or zero mod p, picked by
+its own table of squares, so every root it lists still comes from
+`FieldElement.sqrt`.
 """
 
 from __future__ import annotations
@@ -119,10 +122,15 @@ def _tonelli_constants(p: int) -> tuple[int, int, int]:
 def _tonelli_shanks(n: int, p: int) -> int | None:
     """One square root of n mod the odd prime p, or None for a non-residue.
 
-    One exponentiation, u = n**((q-1)/2), gives both r = n**((q+1)/2) and
-    t = n**q.  A non-residue has t**(2**(s-1)) = n**((p-1)/2) = -1, so the
-    first squaring loop only returns to 1 after all s steps.
+    n is reduced mod p first, and 0 is its own root: with t = 0 the
+    squaring loop below would never reach 1.  One exponentiation,
+    u = n**((q-1)/2), gives both r = n**((q+1)/2) and t = n**q.  A
+    non-residue has t**(2**(s-1)) = n**((p-1)/2) = -1, so the first
+    squaring loop only returns to 1 after all s steps.
     """
+    n %= p
+    if n == 0:
+        return 0
     q, s, c = _tonelli_constants(p)
     u = pow(n, (q - 1) // 2, p)
     r = u * n % p

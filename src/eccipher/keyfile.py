@@ -23,9 +23,9 @@ The suggested extension is `.ecff`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from ._messages import brief
+from ._record import Record
 from .codec import CodeTable
 from .curve import Curve, CurveTooLargeError, Point, PointNotOnCurveError, SingularCurveError
 from .field import Prime
@@ -45,45 +45,51 @@ class KeyFileError(ValueError):
     """A malformed or inconsistent key file; the message cites the line."""
 
 
-@dataclass(frozen=True)
-class CurveSetup:
+class CurveSetup(Record):
     """The public agreement two parties share: curve, base point C used for
     keys and nonces, the point generating the code table, and the alphabet."""
 
-    curve: Curve
-    base: Point
-    table_point: Point
-    alphabet: str
+    __slots__ = ("curve", "base", "table_point", "alphabet")
 
-    def __post_init__(self):
-        if self.base.curve != self.curve or self.table_point.curve != self.curve:
+    def __init__(self, curve: Curve, base: Point, table_point: Point, alphabet: str):
+        self.curve = curve
+        self.base = base
+        self.table_point = table_point
+        self.alphabet = alphabet
+        if base.curve != curve or table_point.curve != curve:
             raise ValueError("setup points must lie on the setup curve")
-        if self.base.is_infinity or self.table_point.is_infinity:
+        if base.is_infinity or table_point.is_infinity:
             raise ValueError("setup points must not be infinity")
-        if len(set(self.alphabet)) != len(self.alphabet) or not self.alphabet:
+        if len(set(alphabet)) != len(alphabet) or not alphabet:
             raise ValueError("alphabet must be non-empty with distinct symbols")
 
     def code_table(self) -> CodeTable:
         return CodeTable.from_generator(self.curve, self.table_point, self.alphabet)
 
 
-@dataclass(frozen=True)
-class PrivateKeyFile:
-    setup: CurveSetup
-    key: PrivateKey
-    public: GeneralPublicKey
+class PrivateKeyFile(Record):
+    __slots__ = ("setup", "key", "public")
+
+    def __init__(self, setup: CurveSetup, key: PrivateKey, public: GeneralPublicKey):
+        self.setup = setup
+        self.key = key
+        self.public = public
 
 
-@dataclass(frozen=True)
-class GeneralPublicKeyFile:
-    setup: CurveSetup
-    key: GeneralPublicKey
+class GeneralPublicKeyFile(Record):
+    __slots__ = ("setup", "key")
+
+    def __init__(self, setup: CurveSetup, key: GeneralPublicKey):
+        self.setup = setup
+        self.key = key
 
 
-@dataclass(frozen=True)
-class SpecificPublicKeyFile:
-    setup: CurveSetup
-    key: SpecificPublicKey
+class SpecificPublicKeyFile(Record):
+    __slots__ = ("setup", "key")
+
+    def __init__(self, setup: CurveSetup, key: SpecificPublicKey):
+        self.setup = setup
+        self.key = key
 
 
 # Each kind's entries after the shared setup lines, in file order:

@@ -9,35 +9,35 @@ second public point.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from ._messages import brief
+from ._record import Record
 from .curve import Curve, Point
 
 
-@dataclass(frozen=True)
-class PrivateKey:
+class PrivateKey(Record):
     """A party's secrets: scalar in [1, n-1] and a non-identity curve point.
 
     n is the order of the shared base point.
     """
 
-    scalar: int
-    point: Point
-    curve: Curve
-    base: Point
+    __slots__ = ("scalar", "point", "curve", "base", "_base_order")
 
-    def __post_init__(self):
-        if self.base.curve != self.curve or self.point.curve != self.curve:
+    def __init__(self, scalar: int, point: Point, curve: Curve, base: Point):
+        self.scalar = scalar
+        self.point = point
+        self.curve = curve
+        self.base = base
+        if base.curve != curve or point.curve != curve:
             raise ValueError("key points must lie on the key's curve")
-        if self.base.is_infinity:
+        if base.is_infinity:
             raise ValueError("base point must not be infinity")
-        if self.point.is_infinity:
+        if point.is_infinity:
             raise ValueError("secret point must not be infinity")
-        n = self.curve.order_of(self.base)
-        if not 1 <= self.scalar < n:
-            raise ValueError(f"secret scalar must be in [1, {n - 1}], got {brief(self.scalar)}")
-        object.__setattr__(self, "_base_order", n)
+        n = curve.order_of(base)
+        if not 1 <= scalar < n:
+            raise ValueError(f"secret scalar must be in [1, {n - 1}], got {brief(scalar)}")
+        self._base_order = n
 
     @property
     def base_order(self) -> int:
@@ -45,21 +45,25 @@ class PrivateKey:
         return self._base_order
 
 
-@dataclass(frozen=True)
-class GeneralPublicKey:
+class GeneralPublicKey(Record):
     """The published pair: k1 = scalar*(base + point), k2 = scalar*point."""
 
-    k1: Point
-    k2: Point
+    __slots__ = ("k1", "k2")
+
+    def __init__(self, k1: Point, k2: Point):
+        self.k1 = k1
+        self.k2 = k2
 
 
-@dataclass(frozen=True)
-class SpecificPublicKey:
+class SpecificPublicKey(Record):
     """A point one party publishes for exactly one peer: scalar * peer's k2."""
 
-    point: Point
-    issuer: str = ""
-    audience: str = ""
+    __slots__ = ("point", "issuer", "audience")
+
+    def __init__(self, point: Point, issuer: str = "", audience: str = ""):
+        self.point = point
+        self.issuer = issuer
+        self.audience = audience
 
 
 def keypair_from_secret(curve: Curve, base: Point, scalar: int,

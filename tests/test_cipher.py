@@ -204,3 +204,34 @@ def test_round_trip_with_random_keys_on_second_curve(e31):
         dec = DecryptionContext(a_priv, b_pub.k1, derive_specific(b_priv, a_pub.k2), table)
         message = "".join(rng.choice(table.alphabet) for _ in range(rng.randrange(0, 21)))
         assert decrypt_message(dec, encrypt_message(enc, message, rng=rng)) == message
+
+
+# ----------------------------------------------------------------- records
+
+def test_cipher_records_take_positional_and_keyword_arguments(e37, e37_table, demo_keys):
+    e1, e2 = e37.point(9, 4), e37.point(5, 25)
+    for pair in (CipherPair(e1, e2), CipherPair(e1=e1, e2=e2)):
+        assert (pair.e1, pair.e2) == (e1, e2)
+    fields = (demo_keys.bob_private, demo_keys.alice_public, demo_keys.alice_specific, e37_table)
+    for ctx in (EncryptionContext(*fields),
+                EncryptionContext(sender_private=fields[0], recipient_general=fields[1],
+                                  recipient_specific=fields[2], table=fields[3])):
+        assert (ctx.sender_private, ctx.recipient_general,
+                ctx.recipient_specific, ctx.table) == fields
+    fields = (demo_keys.alice_private, demo_keys.bob_public.k1, demo_keys.bob_specific, e37_table)
+    for ctx in (DecryptionContext(*fields),
+                DecryptionContext(recipient_private=fields[0], sender_k1=fields[1],
+                                  sender_specific=fields[2], table=fields[3])):
+        assert (ctx.recipient_private, ctx.sender_k1, ctx.sender_specific, ctx.table) == fields
+
+
+def test_cipher_pairs_compare_and_hash_by_their_points(e37):
+    p, q = e37.point(9, 4), e37.point(5, 25)
+    pair = CipherPair(p, q)
+    same = CipherPair(Curve(37, 2, 9).point(9, 4), e37.point(5, 25))
+    assert pair == same and not pair != same
+    assert hash(pair) == hash(same)
+    for other in (CipherPair(q, p), CipherPair(p, p), CipherPair(p, e37.infinity())):
+        assert pair != other and not pair == other
+    assert pair != (p, q)
+    assert len({pair, same, CipherPair(q, p)}) == 2

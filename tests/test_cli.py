@@ -1,6 +1,10 @@
 """The command-line interface, driven as a real subprocess (see `run_cli`)."""
 
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -524,3 +528,18 @@ def test_full_random_pipeline_recovers_message(run_cli, tmp_path):
     )
     assert dec.returncode == 0, dec.stderr
     assert dec.stdout == message + "\n"
+
+
+# ------------------------------------------------------------------ start-up
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Each command pays its imports; the records are plain __slots__ classes.
+    # -S keeps site start-up from importing either on its own.
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, eccipher.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -285,9 +285,31 @@ def field_elements_built(monkeypatch):
     return built
 
 
-def test_enumeration_builds_one_field_element_per_x(field_elements_built):
+def test_enumeration_builds_one_field_element_per_square_x(field_elements_built):
+    # Only x whose x^3 + 2x + 9 is a square or zero mod 37 need a root.
+    squares = {y * y % 37 for y in range(37)}
+    square_xs = [x for x in range(37) if (x ** 3 + 2 * x + 9) % 37 in squares]
+    assert len(square_xs) == 21
     Curve(37, 2, 9).enumerate_points()
-    assert len(field_elements_built) == 37
+    assert len(field_elements_built) == len(square_xs)
+
+
+# 40961 - 1 = 5 * 2**13 and 65537 - 1 = 2**16: deep 2-adic primes, beyond
+# the s <= 8 that the primes below 300 reach.
+@pytest.mark.parametrize("p", [40961, 65537])
+def test_enumeration_takes_roots_exactly_where_euler_says(p):
+    a, b = 2, 9
+    euler = {x: pow((x ** 3 + a * x + b) % p, (p - 1) // 2, p) for x in range(p)}
+    square_xs = {x for x, symbol in euler.items() if symbol in (0, 1)}
+    legendre = {x: -1 if symbol == p - 1 else symbol for x, symbol in euler.items()}
+    pts = Curve(p, a, b).enumerate_points()
+    assert len(pts) == 1 + sum(1 + legendre[x] for x in range(p))
+    roots_of = {}
+    for pt in pts[1:]:
+        roots_of.setdefault(pt.x, []).append(pt.y)
+    assert set(roots_of) == square_xs
+    for x, roots in roots_of.items():
+        assert tuple(roots) == FieldElement(x ** 3 + a * x + b, p).sqrt()
 
 
 # -------------------------------------------------------------- point order

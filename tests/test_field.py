@@ -4,7 +4,7 @@ against integer brute force throughout."""
 import pytest
 
 from eccipher import FieldElement, Prime
-from eccipher.field import MAX_MODULUS_BITS, is_prime
+from eccipher.field import MAX_MODULUS_BITS, _tonelli_shanks, is_prime
 
 P37 = Prime(37)
 
@@ -123,6 +123,13 @@ def test_sqrt_roots_square_back_and_cancel(p):
         assert r1 * r1 % p == a
         assert r2 * r2 % p == a
         assert (r1 + r2) % p == 0
+
+
+@pytest.mark.parametrize("p", [37, 40961, 65537])
+def test_tonelli_shanks_reduces_n_and_roots_zero(p):
+    for n in (0, p, 2 * p):
+        assert _tonelli_shanks(n, p) == 0
+    assert _tonelli_shanks(p + 4, p) == _tonelli_shanks(4, p)
 
 
 def test_repr_and_hash():

@@ -144,6 +144,48 @@ def test_specific_file_round_trips_for_any_party_names(issuer, audience):
     assert render_specific_public_key(parse_specific_public_key(text)) == text
 
 
+# ----------------------------------------------------------------- records
+
+def test_file_records_take_positional_and_keyword_arguments(e37):
+    base, table = e37.point(*vectors.BASE), e37.point(*vectors.TABLE_POINT)
+    for setup in (CurveSetup(e37, base, table, vectors.ALPHABET),
+                  CurveSetup(curve=e37, base=base, table_point=table, alphabet=vectors.ALPHABET)):
+        assert (setup.curve, setup.base, setup.table_point, setup.alphabet) == (
+            e37, base, table, vectors.ALPHABET)
+    setup, own = _setup(e37), _private_file(e37)
+    for record in (PrivateKeyFile(setup, own.key, own.public),
+                   PrivateKeyFile(setup=setup, key=own.key, public=own.public)):
+        assert (record.setup, record.key, record.public) == (setup, own.key, own.public)
+    for record in (GeneralPublicKeyFile(setup, own.public),
+                   GeneralPublicKeyFile(setup=setup, key=own.public)):
+        assert (record.setup, record.key) == (setup, own.public)
+    specific = SpecificPublicKey(table, "alice", "bob")
+    for record in (SpecificPublicKeyFile(setup, specific),
+                   SpecificPublicKeyFile(setup=setup, key=specific)):
+        assert (record.setup, record.key) == (setup, specific)
+
+
+def test_curve_setups_compare_and_hash_by_every_field(e37, e31):
+    setup = _setup(e37)
+    fresh = Curve(vectors.P, vectors.A, vectors.B)
+    same = CurveSetup(fresh, fresh.point(*vectors.BASE), fresh.point(*vectors.TABLE_POINT),
+                      vectors.ALPHABET)
+    assert setup == same and not setup != same
+    assert hash(setup) == hash(same)
+    base, table = setup.base, setup.table_point
+    e31_points = e31.enumerate_points()
+    others = [
+        CurveSetup(e31, e31_points[1], e31_points[2], vectors.ALPHABET),
+        CurveSetup(e37, table, base, vectors.ALPHABET),
+        CurveSetup(e37, base, base, vectors.ALPHABET),
+        CurveSetup(e37, base, table, vectors.ALPHABET[::-1]),
+    ]
+    for other in others:
+        assert setup != other and not setup == other
+    assert setup != (e37, base, table, vectors.ALPHABET)
+    assert len({setup, same, *others}) == 1 + len(others)
+
+
 # --------------------------------------------------------------- validation
 
 def _mutate(text, old, new):

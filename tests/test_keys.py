@@ -8,7 +8,9 @@ import vectors
 from eccipher import (
     Curve,
     CurveTooLargeError,
+    GeneralPublicKey,
     PrivateKey,
+    SpecificPublicKey,
     derive_specific,
     keygen,
     keypair_from_secret,
@@ -136,3 +138,34 @@ def test_secret_point_may_equal_base(e37, e37_base):
     assert public.k1 == 6 * e37_base
     assert public.k2 == 3 * e37_base
     assert private.base_order == 43
+
+
+# ----------------------------------------------------------------- records
+
+def test_key_records_take_positional_and_keyword_arguments(e37, e37_base):
+    point = e37.point(10, 20)
+    for private in (PrivateKey(5, point, e37, e37_base),
+                    PrivateKey(scalar=5, point=point, curve=e37, base=e37_base)):
+        assert (private.scalar, private.point, private.curve, private.base) == (5, point, e37, e37_base)
+        assert private.base_order == 43
+    k1, k2 = e37.point(*vectors.ALICE_K1), e37.point(*vectors.ALICE_K2)
+    for public in (GeneralPublicKey(k1, k2), GeneralPublicKey(k1=k1, k2=k2)):
+        assert (public.k1, public.k2) == (k1, k2)
+    for specific, names in ((SpecificPublicKey(point), ("", "")),
+                            (SpecificPublicKey(point, "alice"), ("alice", "")),
+                            (SpecificPublicKey(point, "alice", "bob"), ("alice", "bob")),
+                            (SpecificPublicKey(point=point, audience="bob"), ("", "bob"))):
+        assert (specific.point, specific.issuer, specific.audience) == (point, *names)
+
+
+def test_private_key_checks_run_in_order(e37, e37_base):
+    other = Curve(41, 2, 9)
+    checks = [
+        ((0, e37.infinity(), e37, other.point(0, 3)), "key points must lie on the key's curve"),
+        ((0, e37.infinity(), e37, e37.infinity()), "base point must not be infinity"),
+        ((0, e37.infinity(), e37, e37_base), "secret point must not be infinity"),
+        ((0, e37.point(10, 20), e37, e37_base), r"secret scalar must be in \[1, 42\], got 0"),
+    ]
+    for args, message in checks:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PrivateKey(*args)
