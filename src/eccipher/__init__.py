@@ -11,7 +11,6 @@ Deliberately small and exhaustively checkable; not hardened cryptography.
 """
 
 from .cipher import (
-    CipherPair,
     DecryptionContext,
     EncryptionContext,
     InvalidCiphertextError,
@@ -37,13 +36,7 @@ from .curve import (
     SingularCurveError,
 )
 from .field import FieldElement, Prime
-from .keyfile import (
-    CurveSetup,
-    GeneralPublicKeyFile,
-    KeyFileError,
-    PrivateKeyFile,
-    SpecificPublicKeyFile,
-)
+from .keyfile import CurveSetup, KeyFileError
 from .keys import (
     GeneralPublicKey,
     PrivateKey,
@@ -56,7 +49,6 @@ from .reference import ecdlp_bsgs, ecdlp_exhaustive, slow_scalar_mul
 
 __all__ = [
     "AlphabetTooLargeError",
-    "CipherPair",
     "CodeTable",
     "Curve",
     "CurveSetup",
@@ -66,7 +58,6 @@ __all__ = [
     "EncryptionContext",
     "FieldElement",
     "GeneralPublicKey",
-    "GeneralPublicKeyFile",
     "InvalidCiphertextError",
     "KeyFileError",
     "MalformedCiphertextError",
@@ -75,10 +66,8 @@ __all__ = [
     "PointNotOnCurveError",
     "Prime",
     "PrivateKey",
-    "PrivateKeyFile",
     "SingularCurveError",
     "SpecificPublicKey",
-    "SpecificPublicKeyFile",
     "UnknownPointError",
     "UnknownSymbolError",
     "decrypt_message",

@@ -21,7 +21,6 @@ from __future__ import annotations
 import random
 
 from ._messages import brief
-from ._record import Record
 from .codec import CodeTable
 from .curve import Point
 from .keys import GeneralPublicKey, PrivateKey, SpecificPublicKey
@@ -37,16 +36,6 @@ class MalformedCiphertextError(ValueError):
 
 class MessageTooLongError(ValueError):
     """Message needs more distinct nonces than the base point order allows."""
-
-
-class CipherPair(Record):
-    """The two cipher points of one plaintext symbol."""
-
-    __slots__ = ("e1", "e2")
-
-    def __init__(self, e1: Point, e2: Point):
-        self.e1 = e1
-        self.e2 = e2
 
 
 class EncryptionContext:
@@ -88,8 +77,8 @@ class DecryptionContext:
             raise ValueError("code table belongs to a different curve")
 
 
-def encrypt_point(ctx: EncryptionContext, message_point: Point, nonce: int) -> CipherPair:
-    """Encrypt one message point under one nonce in [1, n-1]."""
+def encrypt_point(ctx: EncryptionContext, message_point: Point, nonce: int) -> tuple[Point, Point]:
+    """Encrypt one message point under one nonce in [1, n-1] to the pair (E1, E2)."""
     private = ctx.sender_private
     n = private.base_order
     if not 1 <= nonce < n:
@@ -104,16 +93,18 @@ def encrypt_point(ctx: EncryptionContext, message_point: Point, nonce: int) -> C
           + ((private.scalar + nonce) % private.curve.order) * k1
           - nonce * k2
           + ctx.recipient_specific.point)
-    return CipherPair(e1, e2)
+    return e1, e2
 
 
-def decrypt_point(ctx: DecryptionContext, pair: CipherPair) -> Point:
-    """Recover the message point from one cipher pair."""
+def decrypt_point(ctx: DecryptionContext, pair: tuple[Point, Point]) -> Point:
+    """Recover the message point from one cipher pair (E1, E2), which may be
+    any two-item iterable of points."""
     private = ctx.recipient_private
-    if pair.e1.curve != private.curve or pair.e2.curve != private.curve:
+    e1, e2 = pair
+    if e1.curve != private.curve or e2.curve != private.curve:
         raise InvalidCiphertextError("cipher points do not belong to this curve")
-    mask = private.scalar * pair.e1 + private.scalar * ctx.sender_k1 + ctx.sender_specific.point
-    return pair.e2 - mask
+    mask = private.scalar * e1 + private.scalar * ctx.sender_k1 + ctx.sender_specific.point
+    return e2 - mask
 
 
 def encrypt_message(ctx: EncryptionContext, message: str,
@@ -149,8 +140,7 @@ def encrypt_message(ctx: EncryptionContext, message: str,
             chosen.append(nonce)
     cipher_points = []
     for message_point, nonce in zip(points, chosen):
-        pair = encrypt_point(ctx, message_point, nonce)
-        cipher_points += (pair.e1, pair.e2)
+        cipher_points += encrypt_point(ctx, message_point, nonce)
     return ctx.table.decode_message(cipher_points)
 
 
@@ -161,5 +151,5 @@ def decrypt_message(ctx: DecryptionContext, ciphertext: str) -> str:
             f"ciphertext length must be even, got {len(ciphertext)}"
         )
     points = ctx.table.encode_message(ciphertext)
-    return ctx.table.decode_message([decrypt_point(ctx, CipherPair(e1, e2))
-                                     for e1, e2 in zip(points[0::2], points[1::2])])
+    return ctx.table.decode_message([decrypt_point(ctx, pair)
+                                     for pair in zip(points[0::2], points[1::2])])

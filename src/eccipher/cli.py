@@ -57,11 +57,19 @@ def _parse_point(curve: Curve, text: str) -> Point:
 def _load(path: str, parse):
     # Bytes, not read_text: universal newlines would turn a lone CR inside
     # a value into a line break.
-    return parse(Path(path).read_bytes().decode("utf-8"))
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise keyfile.KeyFileError(f"line {line}: not valid UTF-8") from None
+    return parse(text)
 
 
 def _save(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8", newline="")
+    # Encode before opening: a text that cannot be written leaves an
+    # existing file as it was.
+    Path(path).write_bytes(text.encode("utf-8"))
 
 
 def _require_same_setup(*setups: keyfile.CurveSetup):
@@ -106,42 +114,39 @@ def _cmd_keygen(args) -> int:
         )
     else:
         private, public = keys.keygen(setup.curve, setup.base, _make_rng(args.seed))
-    _save(args.out_private,
-          keyfile.render_private_key(keyfile.PrivateKeyFile(setup, private, public)))
-    _save(args.out_public,
-          keyfile.render_general_public_key(keyfile.GeneralPublicKeyFile(setup, public)))
+    _save(args.out_private, keyfile.render_private_key(setup, private, public))
+    _save(args.out_public, keyfile.render_general_public_key(setup, public))
     return 0
 
 
 def _cmd_derive_specific(args) -> int:
-    own = _load(args.private, keyfile.parse_private_key)
-    peer = _load(args.peer_public, keyfile.parse_general_public_key)
-    _require_same_setup(own.setup, peer.setup)
-    specific = keys.derive_specific(own.key, peer.key.k2, args.issuer, args.audience)
-    _save(args.out, keyfile.render_specific_public_key(
-        keyfile.SpecificPublicKeyFile(own.setup, specific)))
+    setup, own, _ = _load(args.private, keyfile.parse_private_key)
+    peer_setup, peer = _load(args.peer_public, keyfile.parse_general_public_key)
+    _require_same_setup(setup, peer_setup)
+    specific = keys.derive_specific(own, peer.k2, args.issuer, args.audience)
+    _save(args.out, keyfile.render_specific_public_key(setup, specific))
     return 0
 
 
 def _load_conversation(args):
     """Own private key, peer's general and specific keys, and the code table."""
-    own = _load(args.private, keyfile.parse_private_key)
-    peer = _load(args.peer_public, keyfile.parse_general_public_key)
-    specific = _load(args.peer_specific, keyfile.parse_specific_public_key)
-    _require_same_setup(own.setup, peer.setup, specific.setup)
-    return own, peer, specific, own.setup.code_table()
+    setup, own, _ = _load(args.private, keyfile.parse_private_key)
+    peer_setup, peer = _load(args.peer_public, keyfile.parse_general_public_key)
+    specific_setup, specific = _load(args.peer_specific, keyfile.parse_specific_public_key)
+    _require_same_setup(setup, peer_setup, specific_setup)
+    return own, peer, specific, setup.code_table()
 
 
 def _cmd_encrypt(args) -> int:
     own, peer, specific, table = _load_conversation(args)
-    ctx = cipher.EncryptionContext(own.key, peer.key, specific.key, table)
+    ctx = cipher.EncryptionContext(own, peer, specific, table)
     print(cipher.encrypt_message(ctx, args.message, rng=_make_rng(args.seed), nonces=args.gammas))
     return 0
 
 
 def _cmd_decrypt(args) -> int:
     own, peer, specific, table = _load_conversation(args)
-    ctx = cipher.DecryptionContext(own.key, peer.key.k1, specific.key, table)
+    ctx = cipher.DecryptionContext(own, peer.k1, specific, table)
     print(cipher.decrypt_message(ctx, args.cipher))
     return 0
 

@@ -17,7 +17,10 @@ without leading zeros.  Files are canonical: fixed key order, one
 by render is byte-identical, and any accepted file is already canonical.
 
 Parsing and rendering are pure string functions; callers own the file I/O.
-The suggested extension is `.ecff`.
+`render_X` takes the setup and the keys, and `parse_X` returns them:
+`(setup, private, public)` for a private key, `(setup, key)` for a public
+one, so `parse_X(render_X(*values)) == values`.  The suggested extension is
+`.ecff`.
 """
 
 from __future__ import annotations
@@ -67,31 +70,6 @@ class CurveSetup(Record):
         return CodeTable.from_generator(self.curve, self.table_point, self.alphabet)
 
 
-class PrivateKeyFile(Record):
-    __slots__ = ("setup", "key", "public")
-
-    def __init__(self, setup: CurveSetup, key: PrivateKey, public: GeneralPublicKey):
-        self.setup = setup
-        self.key = key
-        self.public = public
-
-
-class GeneralPublicKeyFile(Record):
-    __slots__ = ("setup", "key")
-
-    def __init__(self, setup: CurveSetup, key: GeneralPublicKey):
-        self.setup = setup
-        self.key = key
-
-
-class SpecificPublicKeyFile(Record):
-    __slots__ = ("setup", "key")
-
-    def __init__(self, setup: CurveSetup, key: SpecificPublicKey):
-        self.setup = setup
-        self.key = key
-
-
 # Each kind's entries after the shared setup lines, in file order:
 # `_render` writes them and `_parse` reads them.  A point entry is
 # `name.x`/`name.y` lines, or `name = inf` where infinity is allowed.
@@ -134,18 +112,16 @@ def render_curve_setup(setup: CurveSetup) -> str:
     return _render(KIND_CURVE, setup)
 
 
-def render_private_key(record: PrivateKeyFile) -> str:
-    key, public = record.key, record.public
-    return _render(KIND_PRIVATE, record.setup, key.scalar, key.point, public.k1, public.k2)
+def render_private_key(setup: CurveSetup, key: PrivateKey, public: GeneralPublicKey) -> str:
+    return _render(KIND_PRIVATE, setup, key.scalar, key.point, public.k1, public.k2)
 
 
-def render_general_public_key(record: GeneralPublicKeyFile) -> str:
-    return _render(KIND_PUBLIC_GENERAL, record.setup, record.key.k1, record.key.k2)
+def render_general_public_key(setup: CurveSetup, key: GeneralPublicKey) -> str:
+    return _render(KIND_PUBLIC_GENERAL, setup, key.k1, key.k2)
 
 
-def render_specific_public_key(record: SpecificPublicKeyFile) -> str:
-    key = record.key
-    return _render(KIND_PUBLIC_SPECIFIC, record.setup, key.issuer, key.audience, key.point)
+def render_specific_public_key(setup: CurveSetup, key: SpecificPublicKey) -> str:
+    return _render(KIND_PUBLIC_SPECIFIC, setup, key.issuer, key.audience, key.point)
 
 
 # ------------------------------------------------------------------ parsing
@@ -258,7 +234,7 @@ def parse_curve_setup(text: str) -> CurveSetup:
     return _parse(text, KIND_CURVE)[0]
 
 
-def parse_private_key(text: str) -> PrivateKeyFile:
+def parse_private_key(text: str) -> tuple[CurveSetup, PrivateKey, GeneralPublicKey]:
     setup, (scalar, secret_point, pub1, pub2), ends = _parse(text, KIND_PRIVATE)
     scalar_line, _, pub1_line, _ = ends
     try:
@@ -269,14 +245,14 @@ def parse_private_key(text: str) -> PrivateKeyFile:
         raise KeyFileError(f"line {scalar_line}: {exc}") from None
     if public.k1 != pub1 or public.k2 != pub2:
         raise KeyFileError(f"line {pub1_line}: stored public key does not match the private key")
-    return PrivateKeyFile(setup, private, public)
+    return setup, private, public
 
 
-def parse_general_public_key(text: str) -> GeneralPublicKeyFile:
+def parse_general_public_key(text: str) -> tuple[CurveSetup, GeneralPublicKey]:
     setup, (pub1, pub2), _ = _parse(text, KIND_PUBLIC_GENERAL)
-    return GeneralPublicKeyFile(setup, GeneralPublicKey(pub1, pub2))
+    return setup, GeneralPublicKey(pub1, pub2)
 
 
-def parse_specific_public_key(text: str) -> SpecificPublicKeyFile:
+def parse_specific_public_key(text: str) -> tuple[CurveSetup, SpecificPublicKey]:
     setup, (issuer, audience, point), _ = _parse(text, KIND_PUBLIC_SPECIFIC)
-    return SpecificPublicKeyFile(setup, SpecificPublicKey(point, issuer, audience))
+    return setup, SpecificPublicKey(point, issuer, audience)

@@ -38,12 +38,8 @@ from eccipher import (
     keypair_from_secret,
     slow_scalar_mul,
 )
-from eccipher.cipher import CipherPair
 from eccipher.keyfile import (
     CurveSetup,
-    GeneralPublicKeyFile,
-    PrivateKeyFile,
-    SpecificPublicKeyFile,
     render_curve_setup,
     render_general_public_key,
     render_private_key,
@@ -168,7 +164,7 @@ def test_criterion_03_encryption_vectors(e37, bob_to_alice):
         if step == STEP5:
             e1 = step5_e1
         pair = encrypt_point(bob_to_alice, e37.point(*m_coords), nonce)
-        actual = (_coords(pair.e1), _coords(pair.e2))
+        actual = tuple(_coords(point) for point in pair)
         if actual != (e1, e2):
             problems.append(f"step {step + 1}: expected {(e1, e2)}, scheme yields {actual}")
 
@@ -187,7 +183,7 @@ def test_criterion_04_decryption_vectors(e37, e37_table, alice_from_bob):
     problems = []
     symbols = vectors.MISPRINTED_CIPHERTEXT
     for step, expected in enumerate(expected_points):
-        pair = CipherPair(
+        pair = (
             e37_table.encode_symbol(symbols[2 * step]),
             e37_table.encode_symbol(symbols[2 * step + 1]),
         )
@@ -332,14 +328,14 @@ def _expected_file_bytes(e37):
     )
     return {
         "demo.ecff": render_curve_setup(setup),
-        "alice.priv": render_private_key(PrivateKeyFile(setup, alice_priv, alice_pub)),
-        "alice.pub": render_general_public_key(GeneralPublicKeyFile(setup, alice_pub)),
-        "bob.priv": render_private_key(PrivateKeyFile(setup, bob_priv, bob_pub)),
-        "bob.pub": render_general_public_key(GeneralPublicKeyFile(setup, bob_pub)),
-        "ab.spec": render_specific_public_key(SpecificPublicKeyFile(
-            setup, derive_specific(alice_priv, bob_pub.k2, "alice", "bob"))),
-        "ba.spec": render_specific_public_key(SpecificPublicKeyFile(
-            setup, derive_specific(bob_priv, alice_pub.k2, "bob", "alice"))),
+        "alice.priv": render_private_key(setup, alice_priv, alice_pub),
+        "alice.pub": render_general_public_key(setup, alice_pub),
+        "bob.priv": render_private_key(setup, bob_priv, bob_pub),
+        "bob.pub": render_general_public_key(setup, bob_pub),
+        "ab.spec": render_specific_public_key(
+            setup, derive_specific(alice_priv, bob_pub.k2, "alice", "bob")),
+        "ba.spec": render_specific_public_key(
+            setup, derive_specific(bob_priv, alice_pub.k2, "bob", "alice")),
     }
 
 

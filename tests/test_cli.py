@@ -357,6 +357,41 @@ def test_crlf_key_file_is_rejected(run_cli, workdir):
     assert result.stdout == ""
 
 
+def test_undecodable_key_file_is_refused_with_its_line(run_cli, workdir):
+    _make_demo_keys(run_cli, workdir)
+    pub = workdir / "alice.pub"
+    lines = pub.read_bytes().split(b"\n")
+    assert lines[2] == b"p = 37"
+    lines[2] = b"p = 3\xff7"
+    pub.write_bytes(b"\n".join(lines))
+    result = run_cli(
+        "encrypt", "--private", "bob.priv", "--peer-public", "alice.pub",
+        "--peer-specific", "alice_for_bob.spec", "--message", "a", "--seed", 1,
+        cwd=workdir,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == "error: line 3: not valid UTF-8\n"
+    assert result.stdout == ""
+
+
+# "\udcff" reaches the child as the byte 0xff, which is no UTF-8 text.
+@pytest.mark.parametrize("command, target", [
+    (("derive-specific", "--private", "alice.priv", "--peer-public", "bob.pub",
+      "--issuer", "al\udcffice", "--audience", "bob", "--out", "alice_for_bob.spec"),
+     "alice_for_bob.spec"),
+    (("curve", "init", *CURVE_ARGS, "--alphabet", "ab\udcff", "--out", "demo.ecff"),
+     "demo.ecff"),
+], ids=["derive-specific", "curve-init"])
+def test_unwritable_output_leaves_an_existing_file_unchanged(run_cli, workdir, command, target):
+    _make_demo_keys(run_cli, workdir)
+    before = (workdir / target).read_bytes()
+    result = run_cli(*command, cwd=workdir)
+    assert result.returncode == 2, result.stderr
+    assert "can't encode" in result.stderr
+    assert result.stdout == ""
+    assert (workdir / target).read_bytes() == before
+
+
 def test_mismatched_key_files_are_rejected(run_cli, workdir, tmp_path):
     _make_demo_keys(run_cli, workdir)
     other = run_cli(

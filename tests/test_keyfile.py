@@ -9,9 +9,6 @@ from hypothesis import given, strategies as st
 import vectors
 from eccipher import Curve, CurveSetup, KeyFileError, keypair_from_secret
 from eccipher.keyfile import (
-    GeneralPublicKeyFile,
-    PrivateKeyFile,
-    SpecificPublicKeyFile,
     parse_curve_setup,
     parse_general_public_key,
     parse_private_key,
@@ -47,10 +44,11 @@ def _setup(e37):
 
 
 def _private_file(e37, scalar=5, point=(10, 20)):
+    """The values of a private key file: (setup, private, public)."""
     private, public = keypair_from_secret(
         e37, e37.point(*vectors.BASE), scalar, e37.point(*point)
     )
-    return PrivateKeyFile(_setup(e37), private, public)
+    return _setup(e37), private, public
 
 
 # --------------------------------------------------------------- round trip
@@ -66,45 +64,41 @@ def test_curve_file_round_trips_byte_identically(e37):
 
 
 def test_private_file_round_trips(e37):
-    record = _private_file(e37)
-    text = render_private_key(record)
+    values = _private_file(e37)
+    text = render_private_key(*values)
     parsed = parse_private_key(text)
-    assert parsed == record
-    assert render_private_key(parsed) == text
+    assert type(parsed) is tuple and parsed == values
+    assert render_private_key(*parsed) == text
 
 
 def test_general_public_file_round_trips(e37):
-    private_record = _private_file(e37)
-    record = GeneralPublicKeyFile(private_record.setup, private_record.public)
-    text = render_general_public_key(record)
+    setup, _, public = _private_file(e37)
+    text = render_general_public_key(setup, public)
     parsed = parse_general_public_key(text)
-    assert parsed == record
-    assert render_general_public_key(parsed) == text
+    assert type(parsed) is tuple and parsed == (setup, public)
+    assert render_general_public_key(*parsed) == text
 
 
 def test_specific_public_file_round_trips(e37):
-    own = _private_file(e37)
-    peer = _private_file(e37, scalar=7, point=(11, 20))
-    specific = derive_specific(own.key, peer.public.k2, "alice", "bob")
-    record = SpecificPublicKeyFile(own.setup, specific)
-    text = render_specific_public_key(record)
+    setup, own, _ = _private_file(e37)
+    _, _, peer = _private_file(e37, scalar=7, point=(11, 20))
+    specific = derive_specific(own, peer.k2, "alice", "bob")
+    text = render_specific_public_key(setup, specific)
     parsed = parse_specific_public_key(text)
-    assert parsed == record
-    assert render_specific_public_key(parsed) == text
+    assert type(parsed) is tuple and parsed == (setup, specific)
+    assert render_specific_public_key(*parsed) == text
 
 
 def test_infinity_public_points_round_trip(e37, e37_base):
     # With secret point -C the first public point is scalar*infinity = inf.
     private, public = keypair_from_secret(e37, e37_base, 5, -e37_base)
     assert public.k1.is_infinity
-    record = PrivateKeyFile(_setup(e37), private, public)
-    text = render_private_key(record)
+    text = render_private_key(_setup(e37), private, public)
     assert "pub1 = inf\n" in text
-    assert parse_private_key(text) == record
+    assert parse_private_key(text) == (_setup(e37), private, public)
 
-    public_record = GeneralPublicKeyFile(_setup(e37), public)
-    public_text = render_general_public_key(public_record)
-    assert parse_general_public_key(public_text) == public_record
+    public_text = render_general_public_key(_setup(e37), public)
+    assert parse_general_public_key(public_text) == (_setup(e37), public)
 
 
 @given(st.integers(1, 42), st.integers(1, 42))
@@ -112,14 +106,14 @@ def test_private_file_round_trips_for_any_secrets(scalar, point_factor):
     curve = _ROUND_TRIP_CURVE
     base = curve.point(*vectors.BASE)
     private, public = keypair_from_secret(curve, base, scalar, point_factor * base)
-    record = PrivateKeyFile(
+    values = (
         CurveSetup(curve, base, curve.point(*vectors.TABLE_POINT), vectors.ALPHABET),
         private,
         public,
     )
-    text = render_private_key(record)
-    assert parse_private_key(text) == record
-    assert render_private_key(parse_private_key(text)) == text
+    text = render_private_key(*values)
+    assert parse_private_key(text) == values
+    assert render_private_key(*parse_private_key(text)) == text
 
 
 _ROUND_TRIP_CURVE = Curve(vectors.P, vectors.A, vectors.B)
@@ -136,12 +130,10 @@ def test_specific_file_round_trips_for_any_party_names(issuer, audience):
         curve, curve.point(*vectors.BASE), curve.point(*vectors.TABLE_POINT),
         vectors.ALPHABET,
     )
-    record = SpecificPublicKeyFile(
-        setup, SpecificPublicKey(curve.point(15, 11), issuer, audience)
-    )
-    text = render_specific_public_key(record)
-    assert parse_specific_public_key(text) == record
-    assert render_specific_public_key(parse_specific_public_key(text)) == text
+    values = (setup, SpecificPublicKey(curve.point(15, 11), issuer, audience))
+    text = render_specific_public_key(*values)
+    assert parse_specific_public_key(text) == values
+    assert render_specific_public_key(*parse_specific_public_key(text)) == text
 
 
 # ----------------------------------------------------------------- records
@@ -152,17 +144,6 @@ def test_file_records_take_positional_and_keyword_arguments(e37):
                   CurveSetup(curve=e37, base=base, table_point=table, alphabet=vectors.ALPHABET)):
         assert (setup.curve, setup.base, setup.table_point, setup.alphabet) == (
             e37, base, table, vectors.ALPHABET)
-    setup, own = _setup(e37), _private_file(e37)
-    for record in (PrivateKeyFile(setup, own.key, own.public),
-                   PrivateKeyFile(setup=setup, key=own.key, public=own.public)):
-        assert (record.setup, record.key, record.public) == (setup, own.key, own.public)
-    for record in (GeneralPublicKeyFile(setup, own.public),
-                   GeneralPublicKeyFile(setup=setup, key=own.public)):
-        assert (record.setup, record.key) == (setup, own.public)
-    specific = SpecificPublicKey(table, "alice", "bob")
-    for record in (SpecificPublicKeyFile(setup, specific),
-                   SpecificPublicKeyFile(setup=setup, key=specific)):
-        assert (record.setup, record.key) == (setup, specific)
 
 
 def test_curve_setups_compare_and_hash_by_every_field(e37, e31):
@@ -270,48 +251,45 @@ def test_duplicate_alphabet_symbols():
 
 
 def test_zero_scalar_is_out_of_range(e37):
-    text = render_private_key(_private_file(e37))
+    text = render_private_key(*_private_file(e37))
     bad = _mutate(text, "alpha = 5", "alpha = 0")
     with pytest.raises(KeyFileError, match="^line 11: .*(alpha|scalar)"):
         parse_private_key(bad)
 
 
 def test_oversized_scalar_is_out_of_range(e37):
-    text = render_private_key(_private_file(e37))
+    text = render_private_key(*_private_file(e37))
     bad = _mutate(text, "alpha = 5", "alpha = 43")
     with pytest.raises(KeyFileError, match="^line 11: .*\\[1, 42\\]"):
         parse_private_key(bad)
 
 
 def test_stored_public_key_must_match_private(e37):
-    text = render_private_key(_private_file(e37))
+    text = render_private_key(*_private_file(e37))
     bad = _mutate(text, "pub1.x = 1\npub1.y = 7", "pub1.x = 11\npub1.y = 17")
     with pytest.raises(KeyFileError, match="^line 15: .*does not match"):
         parse_private_key(bad)
 
 
 def test_private_secret_point_must_not_be_infinity(e37):
-    text = render_private_key(_private_file(e37))
+    text = render_private_key(*_private_file(e37))
     bad = text.replace("point.x = 10\npoint.y = 20", "point = inf")
     with pytest.raises(KeyFileError, match="inf"):
         parse_private_key(bad)
 
 
 def test_public_file_does_not_expose_secrets(e37):
-    record = _private_file(e37)
-    text = render_general_public_key(GeneralPublicKeyFile(record.setup, record.public))
+    setup, _, public = _private_file(e37)
+    text = render_general_public_key(setup, public)
     keys = [line.split(" = ")[0] for line in text.splitlines()]
     assert "alpha" not in keys
     assert "point.x" not in keys and "point" not in keys
 
 
 def test_newlines_in_values_cannot_be_rendered(e37):
-    setup = _setup(e37)
-    record = SpecificPublicKeyFile(
-        setup, SpecificPublicKey(e37.point(15, 11), "a\nb", "c")
-    )
+    specific = SpecificPublicKey(e37.point(15, 11), "a\nb", "c")
     with pytest.raises(ValueError, match="newline"):
-        render_specific_public_key(record)
+        render_specific_public_key(_setup(e37), specific)
 
 
 def test_error_messages_carry_line_numbers():
@@ -326,17 +304,15 @@ def test_error_messages_carry_line_numbers():
 
 
 def _rendered(kind, e37):
-    record = _private_file(e37)
+    setup, private, public = _private_file(e37)
     if kind == "curve":
-        return render_curve_setup(record.setup), parse_curve_setup
+        return render_curve_setup(setup), parse_curve_setup
     if kind == "private":
-        return render_private_key(record), parse_private_key
+        return render_private_key(setup, private, public), parse_private_key
     if kind == "public-general":
-        general = GeneralPublicKeyFile(record.setup, record.public)
-        return render_general_public_key(general), parse_general_public_key
-    specific = derive_specific(record.key, record.public.k2, "alice", "bob")
-    text = render_specific_public_key(SpecificPublicKeyFile(record.setup, specific))
-    return text, parse_specific_public_key
+        return render_general_public_key(setup, public), parse_general_public_key
+    specific = derive_specific(private, public.k2, "alice", "bob")
+    return render_specific_public_key(setup, specific), parse_specific_public_key
 
 
 @pytest.mark.parametrize(
