@@ -7,7 +7,13 @@ One plaintext symbol becomes one point M and then a pair (E1, E2):
 
 where C is the shared base, s the sender's secret scalar, g a fresh nonce,
 (K1, K2) the recipient's general public key and S the recipient's specific
-public key for this sender.  The recipient removes the mask with
+public key for this sender.  Encryption computes the same E2 as
+
+    E2 = M + (s * K1 + S) + g * (K1 - K2)
+
+with the two bracketed points fixed per context, so a symbol costs two
+scalar multiplies and needs no group order.  The recipient removes the
+mask with
 
     M = E2 - (r * E1 + r * J1 + T)
 
@@ -40,9 +46,11 @@ class MessageTooLongError(ValueError):
 
 class EncryptionContext:
     """Everything the sender needs: own private key, the recipient's
-    general and specific public keys, and the shared code table."""
+    general and specific public keys, and the shared code table.  It also
+    holds s*K1 + S and K1 - K2, the parts of E2 that no nonce changes."""
 
-    __slots__ = ("sender_private", "recipient_general", "recipient_specific", "table")
+    __slots__ = ("sender_private", "recipient_general", "recipient_specific", "table",
+                 "_offset", "_difference")
 
     def __init__(self, sender_private: PrivateKey, recipient_general: GeneralPublicKey,
                  recipient_specific: SpecificPublicKey, table: CodeTable):
@@ -56,6 +64,9 @@ class EncryptionContext:
                 raise ValueError("all context points must share one curve")
         if table.curve != curve:
             raise ValueError("code table belongs to a different curve")
+        k1, k2 = recipient_general.k1, recipient_general.k2
+        self._offset = sender_private.scalar * k1 + recipient_specific.point
+        self._difference = k1 - k2
 
 
 class DecryptionContext:
@@ -78,7 +89,8 @@ class DecryptionContext:
 
 
 def encrypt_point(ctx: EncryptionContext, message_point: Point, nonce: int) -> tuple[Point, Point]:
-    """Encrypt one message point under one nonce in [1, n-1] to the pair (E1, E2)."""
+    """Encrypt one message point under one nonce g in [1, n-1] to the pair
+    (E1, E2) = (g*C, M + (s*K1 + S) + g*(K1 - K2)): two scalar multiplies."""
     private = ctx.sender_private
     n = private.base_order
     if not 1 <= nonce < n:
@@ -87,13 +99,7 @@ def encrypt_point(ctx: EncryptionContext, message_point: Point, nonce: int) -> t
         raise ValueError("message point belongs to a different curve")
     e1 = nonce * private.base
     assert not e1.is_infinity, "nonce below the base order cannot annihilate it"
-    k1, k2 = ctx.recipient_general.k1, ctx.recipient_general.k2
-    # scalar + nonce can pass #E; reduced mod #E, the product is the same.
-    e2 = (message_point
-          + ((private.scalar + nonce) % private.curve.order) * k1
-          - nonce * k2
-          + ctx.recipient_specific.point)
-    return e1, e2
+    return e1, message_point + ctx._offset + nonce * ctx._difference
 
 
 def decrypt_point(ctx: DecryptionContext, pair: tuple[Point, Point]) -> Point:

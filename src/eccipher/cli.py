@@ -7,7 +7,10 @@ errors.  Results go to stdout, everything else to stderr.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import random
+import stat
 import sys
 from pathlib import Path
 
@@ -66,10 +69,43 @@ def _load(path: str, parse):
     return parse(text)
 
 
-def _save(path: str, text: str) -> None:
-    # Encode before opening: a text that cannot be written leaves an
-    # existing file as it was.
-    Path(path).write_bytes(text.encode("utf-8"))
+def _save(*files: tuple[str, str]) -> None:
+    """Write every (path, text) pair, or leave every path as it was.
+
+    All texts are encoded first, then each is written to a temporary file
+    beside its path; only when all are written do they replace their
+    paths.  A new file gets the default mode and a replaced file keeps its
+    own.  An error names the path as given, never a temporary file.
+    """
+    targets = [str(Path(path)) for path, _ in files]
+    blobs = [text.encode("utf-8") for _, text in files]
+    temps = []
+    try:
+        for index, (target, blob) in enumerate(zip(targets, blobs)):
+            try:
+                mode = os.stat(target).st_mode
+            except FileNotFoundError:
+                mode = None
+            else:
+                if stat.S_ISDIR(mode):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
+            temp = f"{target}.{os.getpid()}-{index}.tmp"
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            temps.append(temp)
+            with open(fd, "wb") as out:
+                if mode is not None:
+                    os.chmod(fd, stat.S_IMODE(mode))
+                out.write(blob)
+        for target, temp in zip(targets, temps):
+            os.replace(temp, target)
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, target) from None
+    finally:
+        for temp in temps:
+            if os.path.lexists(temp):
+                os.remove(temp)
 
 
 def _require_same_setup(*setups: keyfile.CurveSetup):
@@ -92,7 +128,7 @@ def _cmd_curve_init(args) -> int:
     setup = keyfile.CurveSetup(curve, base, table_point, args.alphabet)
     group_order = curve.order  # an oversized p fails here, before any file is written
     setup.code_table()  # fails early if the alphabet does not fit
-    _save(args.out, keyfile.render_curve_setup(setup))
+    _save((args.out, keyfile.render_curve_setup(setup)))
     print(f"group order = {group_order}")
     print(f"base point order = {curve.order_of(base)}")
     return 0
@@ -114,8 +150,8 @@ def _cmd_keygen(args) -> int:
         )
     else:
         private, public = keys.keygen(setup.curve, setup.base, _make_rng(args.seed))
-    _save(args.out_private, keyfile.render_private_key(setup, private, public))
-    _save(args.out_public, keyfile.render_general_public_key(setup, public))
+    _save((args.out_private, keyfile.render_private_key(setup, private, public)),
+          (args.out_public, keyfile.render_general_public_key(setup, public)))
     return 0
 
 
@@ -124,7 +160,7 @@ def _cmd_derive_specific(args) -> int:
     peer_setup, peer = _load(args.peer_public, keyfile.parse_general_public_key)
     _require_same_setup(setup, peer_setup)
     specific = keys.derive_specific(own, peer.k2, args.issuer, args.audience)
-    _save(args.out, keyfile.render_specific_public_key(setup, specific))
+    _save((args.out, keyfile.render_specific_public_key(setup, specific)))
     return 0
 
 

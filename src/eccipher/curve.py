@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .field import FieldElement, Prime
 
 # Point enumeration walks every x in [0, p); refuse moduli past this.
@@ -24,10 +26,11 @@ class Curve:
     """The group of points of y^2 = x^3 + ax + b over Z_p, p > 3 prime.
 
     The curve counts its own group: the first read of `order` enumerates
-    the points (so it refuses p > 2**20) and caches their number.
-    Instances are immutable apart from that one idempotent cache write,
-    and all point operations are pure, so curves and points can be shared
-    freely across threads.
+    the points (so it refuses p > 2**20) and caches their number.  A
+    point's order needs no count: `order_of` uses #E once it is cached and
+    otherwise searches the Hasse interval.  Instances are immutable apart
+    from that one idempotent cache write, and all point operations are
+    pure, so curves and points can be shared freely across threads.
     """
 
     __slots__ = ("p", "a", "b", "_order")
@@ -69,9 +72,8 @@ class Curve:
         one table read.  Also fills the curve's `order` cache.  Refuses
         p > 2**20, which bounds the table at 1 MiB.
         """
+        self._require_enumerable()
         p = self.p
-        if p > ENUMERATION_LIMIT:
-            raise CurveTooLargeError(f"p = {p} exceeds enumeration limit 2**20")
         # y^2 = (y-1)^2 + (2y-1) for y = 1 .. (p-1)/2 marks every nonzero
         # square; each running sum stays below 2p, so one subtraction reduces it.
         is_square = bytearray(p)
@@ -95,16 +97,51 @@ class Curve:
     def order_of(self, point: Point) -> int:
         """Order of a point: the least m > 0 with m*point = infinity.
 
-        Starting from m = #E, each prime q of #E is stripped from m while
-        (m/q)*point is still infinity; what remains is the order.
+        Starting from a multiple m of the order, each prime q of m is
+        stripped while (m/q)*point is still infinity; what remains is the
+        order.  The multiple is #E once the curve has counted itself, and
+        otherwise the first m*point = infinity in the Hasse interval, found
+        without counting.  Refuses p > 2**20 like `enumerate_points`,
+        because the primes of m are found by trial division.
         """
         if point.curve != self:
             raise ValueError("point belongs to a different curve")
-        m = self.order
+        self._require_enumerable()
+        if point.is_infinity:
+            return 1
+        m = self._order if self._order is not None else self._hasse_multiple(point)
         for q in _prime_factors(m):
             while m % q == 0 and ((m // q) * point).is_infinity:
                 m //= q
         return m
+
+    def _hasse_multiple(self, point: Point) -> int:
+        """The least m in [p+1-2*sqrt(p), p+1+2*sqrt(p)] with m*point = infinity.
+
+        #E lies in that interval (Hasse), so some m does.  Baby steps
+        j*point for j < s, giant steps -(low + i*s)*point: a match j gives
+        m = low + i*s + j, in about 2*sqrt(4*sqrt(p)) group operations.
+        """
+        reach = isqrt(4 * self.p)
+        low = self.p + 1 - reach
+        s = isqrt(2 * reach) + 1
+        baby = {}
+        step = self.infinity()
+        for j in range(s):
+            baby.setdefault(step, j)
+            step = step + point
+        # step is now s*point.
+        giant = -(low * point)
+        for i in range(2 * reach // s + 1):
+            j = baby.get(giant)
+            if j is not None:
+                return low + i * s + j
+            giant = giant - step
+        raise AssertionError(f"no multiple of the order of {point} in the Hasse interval")
+
+    def _require_enumerable(self) -> None:
+        if self.p > ENUMERATION_LIMIT:
+            raise CurveTooLargeError(f"p = {self.p} exceeds enumeration limit 2**20")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Curve):

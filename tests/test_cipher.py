@@ -13,6 +13,7 @@ from eccipher import (
     InvalidCiphertextError,
     MalformedCiphertextError,
     MessageTooLongError,
+    Point,
     UnknownSymbolError,
     decrypt_message,
     decrypt_point,
@@ -20,7 +21,9 @@ from eccipher import (
     encrypt_message,
     encrypt_point,
     keygen,
+    keypair_from_secret,
 )
+from eccipher.reference import slow_scalar_mul
 
 
 def _pair(curve, coords):
@@ -204,6 +207,59 @@ def test_round_trip_with_random_keys_on_second_curve(e31):
         dec = DecryptionContext(a_priv, b_pub.k1, derive_specific(b_priv, a_pub.k2), table)
         message = "".join(rng.choice(table.alphabet) for _ in range(rng.randrange(0, 21)))
         assert decrypt_message(dec, encrypt_message(enc, message, rng=rng)) == message
+
+
+@pytest.fixture()
+def scalar_muls(monkeypatch):
+    """The number of k * P products computed while the test runs."""
+    calls = []
+    original = Point.__rmul__
+
+    def counting_rmul(self, k):
+        calls.append(k)
+        return original(self, k)
+
+    monkeypatch.setattr(Point, "__rmul__", counting_rmul)
+    return calls
+
+
+def test_encrypt_algebra_outside_the_base_subgroup(e1009, scalar_muls):
+    # On E_1009(7,21) the base (0,358) has order 530 in a group of 1060,
+    # so <C> has index 2.  An odd scalar on the secret point (8,331), which
+    # lies outside <C>, puts the recipient's K1 and K2 outside <C> too, so
+    # E2 is checked where no step may treat K1 or K2 as a multiple of C.
+    # Every nonce is tried, and each symbol costs two scalar multiplies
+    # each way once the context holds s*K1 + S and K1 - K2.
+    curve = e1009
+    base = curve.point(*vectors.MID_BASE)
+    table = CodeTable.from_generator(curve, base)
+    recipient_private, recipient_public = keypair_from_secret(curve, base, 3, curve.point(8, 331))
+    sender_private, sender_public = keypair_from_secret(curve, base, 401, 17 * base)
+    subgroup = {k * base for k in range(530)}
+    assert recipient_public.k1 not in subgroup and recipient_public.k2 not in subgroup
+    recipient_specific = derive_specific(recipient_private, sender_public.k2)
+    sender_specific = derive_specific(sender_private, recipient_public.k2)
+    scalar_muls.clear()
+    enc = EncryptionContext(sender_private, recipient_public, recipient_specific, table)
+    assert len(scalar_muls) == 1
+    dec = DecryptionContext(recipient_private, sender_public.k1, sender_specific, table)
+    points = curve.enumerate_points()
+    k1, k2, spec = recipient_public.k1, recipient_public.k2, recipient_specific.point
+    beta = sender_private.scalar
+    sampled = set(random.Random(1009).sample(range(1, 530), 20))
+    for nonce in range(1, 530):
+        message = points[nonce * 7 % len(points)]
+        scalar_muls.clear()
+        e1, e2 = encrypt_point(enc, message, nonce)
+        assert len(scalar_muls) == 2
+        assert e2 == message + (beta + nonce) * k1 - nonce * k2 + spec
+        scalar_muls.clear()
+        assert decrypt_point(dec, (e1, e2)) == message
+        assert len(scalar_muls) == 2
+        if nonce in sampled:
+            assert e1 == slow_scalar_mul(nonce, base)
+            assert e2 == (message + slow_scalar_mul(beta + nonce, k1)
+                          - slow_scalar_mul(nonce, k2) + spec)
 
 
 # ----------------------------------------------------------------- records

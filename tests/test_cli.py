@@ -1,4 +1,5 @@
-"""The command-line interface, driven as a real subprocess (see `run_cli`)."""
+"""The command-line interface, driven as a real subprocess (see `run_cli`),
+and in-process where a test counts what a command computes."""
 
 import argparse
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import vectors
+from eccipher import cli
 
 CURVE_ARGS = ["--p", "37", "--a", "2", "--b", "9", "--base", "9,4", "--table-base", "5,25"]
 
@@ -392,6 +394,50 @@ def test_unwritable_output_leaves_an_existing_file_unchanged(run_cli, workdir, c
     assert (workdir / target).read_bytes() == before
 
 
+def test_keygen_writes_both_key_files_or_neither(run_cli, workdir):
+    result = run_cli("keygen", "--curve", "demo.ecff", "--seed", 9,
+                     "--out-private", "d.priv", "--out-public", "nodir/d.pub", cwd=workdir)
+    assert result.returncode == 2
+    assert result.stderr == "error: [Errno 2] No such file or directory: 'nodir/d.pub'\n"
+    assert not (workdir / "d.priv").exists()
+    result = run_cli("keygen", "--curve", "demo.ecff", "--seed", 9,
+                     "--out-private", "e.priv", "--out-public", "e.pub", cwd=workdir)
+    assert result.returncode == 0, result.stderr
+    before = (workdir / "e.priv").read_bytes()
+    result = run_cli("keygen", "--curve", "demo.ecff", "--seed", 11,
+                     "--out-private", "e.priv", "--out-public", "nodir/e.pub", cwd=workdir)
+    assert result.returncode == 2
+    assert result.stderr == "error: [Errno 2] No such file or directory: 'nodir/e.pub'\n"
+    assert (workdir / "e.priv").read_bytes() == before
+    assert sorted(path.name for path in workdir.iterdir()) == ["demo.ecff", "e.priv", "e.pub"]
+
+
+def test_replaced_output_keeps_its_mode(run_cli, workdir):
+    _make_demo_keys(run_cli, workdir)
+    target = workdir / "alice.priv"
+    target.chmod(0o600)
+    before = target.read_bytes()
+    target.write_bytes(b"stale")
+    result = run_cli(
+        "keygen", "--curve", "demo.ecff", "--alpha", 5, "--point", "10,20",
+        "--out-private", "alice.priv", "--out-public", "alice.pub", cwd=workdir,
+    )
+    assert result.returncode == 0, result.stderr
+    assert target.read_bytes() == before
+    assert target.stat().st_mode & 0o777 == 0o600
+
+
+def test_output_path_that_is_a_directory_is_named_in_the_error(run_cli, workdir):
+    _make_demo_keys(run_cli, workdir)
+    (workdir / "sub").mkdir()
+    for out in ("sub", "."):
+        result = run_cli("derive-specific", "--private", "alice.priv", "--peer-public", "bob.pub",
+                         "--out", out, cwd=workdir)
+        assert result.returncode == 2
+        assert result.stderr == f"error: [Errno 21] Is a directory: '{out}'\n"
+    assert not list(workdir.glob("*.tmp"))
+
+
 def test_mismatched_key_files_are_rejected(run_cli, workdir, tmp_path):
     _make_demo_keys(run_cli, workdir)
     other = run_cli(
@@ -563,6 +609,30 @@ def test_full_random_pipeline_recovers_message(run_cli, tmp_path):
     )
     assert dec.returncode == 0, dec.stderr
     assert dec.stdout == message + "\n"
+
+
+def test_key_commands_never_count_the_group(tmp_path, monkeypatch, enumerations, capsys):
+    # Only `curve init`, which prints #E, enumerates the curve; the README
+    # walkthrough's key commands need the base order alone.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["curve", "init", *CURVE_ARGS, "--out", "demo.ecff"]) == 0
+    assert capsys.readouterr().out == "group order = 43\nbase point order = 43\n"
+    assert len(enumerations) == 1
+    enumerations.clear()
+    for name, alpha, point in (("alice", "5", "10,20"), ("bob", "7", "11,20")):
+        assert cli.main(["keygen", "--curve", "demo.ecff", "--alpha", alpha, "--point", point,
+                         "--out-private", f"{name}.priv", "--out-public", f"{name}.pub"]) == 0
+    for own, peer in (("alice", "bob"), ("bob", "alice")):
+        assert cli.main(["derive-specific", "--private", f"{own}.priv",
+                         "--peer-public", f"{peer}.pub", "--issuer", own, "--audience", peer,
+                         "--out", f"{own}_for_{peer}.spec"]) == 0
+    assert cli.main(["encrypt", "--private", "bob.priv", "--peer-public", "alice.pub",
+                     "--peer-specific", "alice_for_bob.spec", "--message", "attack",
+                     "--gammas", "8,12,19,2,3,23"]) == 0
+    assert cli.main(["decrypt", "--private", "alice.priv", "--peer-public", "bob.pub",
+                     "--peer-specific", "bob_for_alice.spec", "--cipher", "b5cl#jvb7p@f"]) == 0
+    assert capsys.readouterr() == ("b5cl#jvb7p@f\nattack\n", "")
+    assert enumerations == []
 
 
 # ------------------------------------------------------------------ start-up

@@ -2,6 +2,7 @@
 and point orders."""
 
 import math
+import random
 
 import pytest
 
@@ -349,7 +350,7 @@ def test_point_order_divides_group_order(e1009):
 def test_order_of_matches_repeated_addition(params):
     # #E is 9 = 3^2 on E_5(1,1) and 1060 = 2^2*5*53 on E_1009(7,21), so the
     # prime stripping divides by one prime more than once.  The points are
-    # asked of a fresh curve, which counts its group on the first order_of.
+    # asked of a fresh curve, which searches the Hasse interval instead.
     curve, listing = Curve(*params), Curve(*params)
     for listed in listing.enumerate_points():
         point = curve.infinity() if listed.is_infinity else curve.point(listed.x, listed.y)
@@ -358,6 +359,72 @@ def test_order_of_matches_repeated_addition(params):
             acc = acc + point
             steps += 1
         assert curve.order_of(point) == listing.order_of(listed) == steps, point
+
+
+def _orders_by_addition(points):
+    """Each point's order, one walk of repeated additions per cyclic group:
+    the walk from P back to infinity takes ord(P) steps, and the k-th point
+    on it, k*P, has order ord(P) / gcd(k, ord(P))."""
+    orders = {}
+    for point in points:
+        if point in orders:
+            continue
+        walk = [point]
+        while not walk[-1].is_infinity:
+            walk.append(walk[-1] + point)
+        n = len(walk)
+        for k, multiple in enumerate(walk, 1):
+            orders.setdefault(multiple, n // math.gcd(k, n))
+    return orders
+
+
+@pytest.mark.parametrize("p, a, b", _SMALL_CURVES)
+def test_order_of_by_search_matches_counted_order(p, a, b, enumerations):
+    fresh, counted = Curve(p, a, b), Curve(p, a, b)
+    listed = counted.enumerate_points()
+    by_addition = _orders_by_addition(listed)
+    for point in listed:
+        same = fresh.infinity() if point.is_infinity else fresh.point(point.x, point.y)
+        assert fresh.order_of(same) == counted.order_of(point) == by_addition[point], point
+    assert enumerations == [counted]
+
+
+def _distinct_primes(n):
+    primes, q = [], 2
+    while n > 1:
+        if q * q > n:
+            q = n
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return primes
+
+
+@pytest.mark.parametrize("params, group_order", [
+    ((16381, 2, 9), 16473),
+    ((1048573, 2, 3), 1050028),
+], ids=["E_16381", "E_1048573"])
+def test_order_of_by_search_on_larger_curves(params, group_order, enumerations):
+    # Sampled points of curves too large to walk: n is an order exactly
+    # when n*P is infinity and no (n/q)*P is, for each prime q of n.
+    curve = Curve(*params)
+    p, a, b = params
+    rng = random.Random(13)
+    checked = 0
+    while checked < 8:
+        x = rng.randrange(p)
+        roots = FieldElement(x ** 3 + a * x + b, p).sqrt()
+        if not roots:
+            continue
+        point = curve.point(x, roots[0])
+        n = curve.order_of(point)
+        assert (n * point).is_infinity
+        assert all(not ((n // q) * point).is_infinity for q in _distinct_primes(n)), point
+        assert group_order % n == 0
+        checked += 1
+    assert enumerations == []
 
 
 # ---------------------------------------------------------------- rendering
