@@ -7,7 +7,6 @@ errors.  Results go to stdout, everything else to stderr.
 from __future__ import annotations
 
 import argparse
-import errno
 import os
 import random
 import stat
@@ -70,42 +69,75 @@ def _load(path: str, parse):
 
 
 def _save(*files: tuple[str, str]) -> None:
-    """Write every (path, text) pair, or leave every path as it was.
+    """Write every (path, text) pair, so that a failure changes no regular file.
 
-    All texts are encoded first, then each is written to a temporary file
-    beside its path; only when all are written do they replace their
-    paths.  A new file gets the default mode and a replaced file keeps its
-    own.  An error names the path as given, never a temporary file.
+    All texts are encoded first.  Each path that is missing or a regular
+    file gets a temporary file beside it, and only when all are written do
+    they replace their paths.  If a replace fails, each path replaced before
+    it gets its old file back from a hard link made beforehand, or is
+    removed if it was new; only a failure of that step too leaves it
+    changed.  A regular file keeps its mode, and one that a plain write
+    would be refused (read-only, say) is refused.  Any other path, such as
+    a symlink, a FIFO or /dev/stdout, is written through as an ordinary
+    open would, before the first replace; what is written there cannot be
+    taken back.  An error names the path as given, never a temporary or
+    backup file.
     """
     targets = [str(Path(path)) for path, _ in files]
     blobs = [text.encode("utf-8") for _, text in files]
-    temps = []
+    pid = os.getpid()
+    staged = []  # (target, temp, existed) for each missing or regular path
+    through = []  # (target, blob) for every other path
+    backups = {}  # index in staged -> hard link to the old file
+    replaced = []  # indices in staged
+    target = None
     try:
         for index, (target, blob) in enumerate(zip(targets, blobs)):
             try:
-                mode = os.stat(target).st_mode
+                mode = os.lstat(target).st_mode
             except FileNotFoundError:
                 mode = None
-            else:
-                if stat.S_ISDIR(mode):
-                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
-            temp = f"{target}.{os.getpid()}-{index}.tmp"
+            if mode is not None and not stat.S_ISREG(mode):
+                through.append((target, blob))
+                continue
+            if mode is not None:  # refused where a plain write would be
+                os.close(os.open(target, os.O_WRONLY))
+            temp = f"{target}.{pid}-{index}.tmp"
             fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            temps.append(temp)
+            staged.append((target, temp, mode is not None))
             with open(fd, "wb") as out:
                 if mode is not None:
                     os.chmod(fd, stat.S_IMODE(mode))
                 out.write(blob)
-        for target, temp in zip(targets, temps):
+        # A failing replace takes back the ones before it, never the last.
+        for index, (target, _, existed) in enumerate(staged[:-1]):
+            if existed:
+                backup = f"{target}.{pid}-{index}.bak"
+                os.link(target, backup)
+                backups[index] = backup
+        for target, blob in through:
+            with open(target, "wb") as out:
+                out.write(blob)
+        for index, (target, temp, _) in enumerate(staged):
             os.replace(temp, target)
+            replaced.append(index)
     except OSError as exc:
+        for index in reversed(replaced):
+            try:
+                if index in backups:
+                    os.replace(backups[index], staged[index][0])
+                else:
+                    os.remove(staged[index][0])
+            except OSError:
+                pass
         if exc.filename is None:
             raise
         raise OSError(exc.errno, exc.strerror, target) from None
     finally:
-        for temp in temps:
-            if os.path.lexists(temp):
-                os.remove(temp)
+        leftovers = [temp for _, temp, _ in staged] + list(backups.values())
+        for leftover in leftovers:
+            if os.path.lexists(leftover):
+                os.remove(leftover)
 
 
 def _require_same_setup(*setups: keyfile.CurveSetup):

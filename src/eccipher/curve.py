@@ -107,8 +107,6 @@ class Curve:
         if point.curve != self:
             raise ValueError("point belongs to a different curve")
         self._require_enumerable()
-        if point.is_infinity:
-            return 1
         m = self._order if self._order is not None else self._hasse_multiple(point)
         for q in _prime_factors(m):
             while m % q == 0 and ((m // q) * point).is_infinity:

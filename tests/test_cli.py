@@ -438,6 +438,66 @@ def test_output_path_that_is_a_directory_is_named_in_the_error(run_cli, workdir)
     assert not list(workdir.glob("*.tmp"))
 
 
+def test_symlinked_output_writes_the_file_it_points_to(run_cli, workdir):
+    _make_demo_keys(run_cli, workdir)
+    expected = (workdir / "alice.priv").read_bytes()
+    (workdir / "secure").mkdir()
+    (workdir / "secure" / "alice.priv").write_bytes(b"stale")
+    link = workdir / "alice.priv"
+    link.unlink()
+    link.symlink_to(Path("secure") / "alice.priv")
+    result = run_cli(
+        "keygen", "--curve", "demo.ecff", "--alpha", 5, "--point", "10,20",
+        "--out-private", "alice.priv", "--out-public", "alice.pub", cwd=workdir,
+    )
+    assert result.returncode == 0, result.stderr
+    assert link.is_symlink()
+    assert (workdir / "secure" / "alice.priv").read_bytes() == expected
+
+
+def test_fifo_output_is_written_through(run_cli, workdir):
+    _make_demo_keys(run_cli, workdir)
+    expected = (workdir / "alice_for_bob.spec").read_bytes()
+    fifo = workdir / "out.spec"
+    os.mkfifo(fifo)
+    # A reader is open before the command starts, so its open for writing
+    # does not block; the key file is far smaller than a pipe's buffer.
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        result = run_cli("derive-specific", "--private", "alice.priv", "--peer-public", "bob.pub",
+                         "--issuer", "alice", "--audience", "bob", "--out", "out.spec", cwd=workdir)
+        assert result.returncode == 0, result.stderr
+        assert os.read(reader, 1 << 16) == expected
+    finally:
+        os.close(reader)
+    assert fifo.is_fifo()
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_keygen_takes_back_the_private_key_when_the_public_replace_fails(
+    workdir, monkeypatch, capsys, existing
+):
+    # A public path that cannot be replaced, as for a file of another user
+    # in a sticky directory, once the private key has been replaced.
+    monkeypatch.chdir(workdir)
+    if existing:
+        assert cli.main(["keygen", "--curve", "demo.ecff", "--seed", "3",
+                         "--out-private", "f.priv", "--out-public", "f.pub"]) == 0
+    before = {path.name: path.read_bytes() for path in workdir.iterdir()}
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if str(dst) == "f.pub" and str(src).endswith(".tmp"):
+            raise PermissionError(1, "Operation not permitted", src, None, dst)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    assert cli.main(["keygen", "--curve", "demo.ecff", "--seed", "4",
+                     "--out-private", "f.priv", "--out-public", "f.pub"]) == 2
+    assert capsys.readouterr().err == "error: [Errno 1] Operation not permitted: 'f.pub'\n"
+    assert {path.name: path.read_bytes() for path in workdir.iterdir()} == before
+
+
 def test_mismatched_key_files_are_rejected(run_cli, workdir, tmp_path):
     _make_demo_keys(run_cli, workdir)
     other = run_cli(
