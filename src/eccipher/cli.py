@@ -68,21 +68,49 @@ def _load(path: str, parse):
     return parse(text)
 
 
-def _save(*files: tuple[str, str]) -> None:
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one is missing: compare where they would be
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _refuse_shared_targets(outputs: list[str], inputs: tuple[str, ...]) -> None:
+    """Refuse an output that names the same file as another output or an input.
+
+    Only a target that is missing or a regular file counts, so two outputs
+    to a FIFO or /dev/stdout are still written through.
+    """
+    named = [("input", path) for path in inputs]
+    for path in outputs:
+        try:
+            if not stat.S_ISREG(os.stat(path).st_mode):
+                continue
+        except OSError:
+            pass
+        for role, other in named:
+            if _same_file(path, other):
+                raise ValueError(f"output {brief(path)} is the same file as {role} {brief(other)}")
+        named.append(("output", path))
+
+
+def _save(*files: tuple[str, str], inputs: tuple[str, ...] = ()) -> None:
     """Write every (path, text) pair, so that a failure changes no regular file.
 
-    All texts are encoded first.  Each path that is missing or a regular
-    file gets a temporary file beside it, and only when all are written do
-    they replace their paths.  If a replace fails, each path replaced before
-    it gets its old file back from a hard link made beforehand, or is
-    removed if it was new; only a failure of that step too leaves it
-    changed.  A regular file keeps its mode, and one that a plain write
-    would be refused (read-only, say) is refused.  Any other path, such as
-    a symlink, a FIFO or /dev/stdout, is written through as an ordinary
-    open would, before the first replace; what is written there cannot be
-    taken back.  An error names the path as given, never a temporary or
-    backup file.
+    An output naming the same missing or regular file as another output or
+    one of the command's `inputs` is refused first.  All texts are encoded
+    next.  Each path that is missing or a regular file gets a temporary file
+    beside it, and only when all are written do they replace their paths.
+    If a replace fails, each path replaced before it gets its old file back
+    from a hard link made beforehand, or is removed if it was new; only a
+    failure of that step too leaves it changed.  A regular file keeps its
+    mode, and one that a plain write would be refused (read-only, say) is
+    refused.  Any other path, such as a symlink, a FIFO or /dev/stdout, is
+    written through as an ordinary open would, before the first replace;
+    what is written there cannot be taken back.  An error names the path as
+    given, never a temporary or backup file.
     """
+    _refuse_shared_targets([path for path, _ in files], inputs)
     targets = [str(Path(path)) for path, _ in files]
     blobs = [text.encode("utf-8") for _, text in files]
     pid = os.getpid()
@@ -183,7 +211,8 @@ def _cmd_keygen(args) -> int:
     else:
         private, public = keys.keygen(setup.curve, setup.base, _make_rng(args.seed))
     _save((args.out_private, keyfile.render_private_key(setup, private, public)),
-          (args.out_public, keyfile.render_general_public_key(setup, public)))
+          (args.out_public, keyfile.render_general_public_key(setup, public)),
+          inputs=(args.curve,))
     return 0
 
 
@@ -192,7 +221,8 @@ def _cmd_derive_specific(args) -> int:
     peer_setup, peer = _load(args.peer_public, keyfile.parse_general_public_key)
     _require_same_setup(setup, peer_setup)
     specific = keys.derive_specific(own, peer.k2, args.issuer, args.audience)
-    _save((args.out, keyfile.render_specific_public_key(setup, specific)))
+    _save((args.out, keyfile.render_specific_public_key(setup, specific)),
+          inputs=(args.private, args.peer_public))
     return 0
 
 

@@ -42,45 +42,38 @@ class CodeTable:
     multiples of G, as a list and a point -> index dict, and the stride
     S = m * G.  Index i >= m is (i // m) * S + prefix[i % m]; a point the
     dict misses is found by Shanks' giant steps P - t*S, t = 1, 2, ...
-    The prefix starts at ceil(sqrt(N)) points.  encode_message and
-    decode_message grow it to min(N, ceil(sqrt(d * N))) for a batch of d,
-    which keeps a batch near 2*sqrt(d * N) group additions; at m = N it is
-    the whole table.  Growth only extends the prefix, under a lock, and
-    publishes the new (prefix, dict, stride) with one attribute
-    assignment, so readers sharing a table see an old or a new prefix,
-    never a half-built one.  No result depends on which.
+    The prefix is built on the first lookup, not by from_generator: a
+    batch of d symbols grows it to min(N, ceil(sqrt(d * N))), which keeps
+    the batch near 2*sqrt(d * N) group additions, and a single symbol to
+    ceil(sqrt(N)); at m = N it is the whole table.  Growth only extends
+    the prefix, under a lock, and publishes the new (prefix, dict,
+    stride) with one attribute assignment, so readers sharing a table see
+    an old or a new prefix, never a half-built one.  No result depends on
+    which.
     """
 
     @classmethod
     def from_generator(cls, curve: Curve, generator: Point,
-                       alphabet: str | Sequence[str] = DEFAULT_ALPHABET) -> CodeTable:
+                       alphabet: str = DEFAULT_ALPHABET) -> CodeTable:
         """Build the table whose i-th symbol maps to i * generator.
 
         Index 0 is the identity, so the first symbol always denotes
-        infinity.  The generator's order must be at least the alphabet
-        size or the mapping would repeat points; a baby-step giant-step
-        search over the first ceil(sqrt(N)) multiples finds any smaller
-        order.  Below that order the multiples are distinct points of the
-        curve, so only the symbols need checking.
+        infinity.  The generator's order, from `curve.order_of` (which
+        refuses p > 2**20), must be at least the alphabet size or the
+        mapping would repeat points.  Below that order the multiples are
+        distinct points of the curve, so only the symbols need checking.
         """
         if generator.curve != curve:
             raise ValueError("generator belongs to a different curve")
         table = object.__new__(cls)
         table.curve = curve
         table._generator = generator
-        table._symbols = tuple(alphabet)
-        table._index_of_symbol = {symbol: i for i, symbol in enumerate(table._symbols)}
+        table._alphabet = alphabet
+        table._index_of_symbol = {symbol: i for i, symbol in enumerate(alphabet)}
         table._lock = threading.Lock()
         table._walk = ([], {}, curve.infinity())
-        size = len(table._symbols)
-        walk = table._grown(1)
-        prefix, _, stride = walk
-        m = len(prefix)
-        # The least i >= 1 with i*G = O: a baby step, or m plus the index of -S.
-        order = next((i for i in range(1, m) if prefix[i].is_infinity), None)
-        if order is None:
-            beyond = table._index(-stride, walk)
-            order = size if beyond is None else m + beyond
+        size = len(alphabet)
+        order = curve.order_of(generator)
         if order < size:
             raise AlphabetTooLargeError(
                 f"alphabet has {size} symbols but the generator only addresses {order} points"
@@ -91,14 +84,14 @@ class CodeTable:
 
     @property
     def alphabet(self) -> str:
-        return "".join(self._symbols)
+        return self._alphabet
 
     def __len__(self) -> int:
-        return len(self._symbols)
+        return len(self._alphabet)
 
     def _grown(self, batch: int) -> tuple[list[Point], dict[Point, int], Point]:
         """The walk, its prefix first extended to min(N, ceil(sqrt(batch * N)))."""
-        size = len(self._symbols)
+        size = len(self._alphabet)
         wanted = min(size, _ceil_sqrt(batch * size))
         walk = self._walk
         if len(walk[0]) >= wanted:
@@ -121,7 +114,7 @@ class CodeTable:
         index = index_of_point.get(point)
         if index is not None or not prefix or point.curve != self.curve:
             return index
-        size, m = len(self._symbols), len(prefix)
+        size, m = len(self._alphabet), len(prefix)
         step = -stride
         for base in range(m, size, m):
             point = point + step
@@ -150,7 +143,7 @@ class CodeTable:
         index = self._index_of_symbol.get(symbol)
         if index is None:
             raise UnknownSymbolError(f"symbol {symbol!r} is not in the alphabet")
-        return self._points([index], self._walk)[0]
+        return self._points([index], self._grown(1))[0]
 
     def decode_point(self, point: Point) -> str:
         return self.decode_message((point,))
@@ -173,5 +166,5 @@ class CodeTable:
             index = self._index(point, walk)
             if index is None:
                 raise UnknownPointError(f"point {point} is not in the code table")
-            symbols.append(self._symbols[index])
+            symbols.append(self._alphabet[index])
         return "".join(symbols)

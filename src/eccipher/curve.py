@@ -25,15 +25,15 @@ class CurveTooLargeError(ValueError):
 class Curve:
     """The group of points of y^2 = x^3 + ax + b over Z_p, p > 3 prime.
 
-    The curve counts its own group: the first read of `order` enumerates
-    the points (so it refuses p > 2**20) and caches their number.  A
-    point's order needs no count: `order_of` uses #E once it is cached and
-    otherwise searches the Hasse interval.  Instances are immutable apart
-    from that one idempotent cache write, and all point operations are
-    pure, so curves and points can be shared freely across threads.
+    The curve keeps two caches.  The first read of `order` enumerates the
+    points (so it refuses p > 2**20) and caches their number.  `order_of`
+    needs no count: it searches the Hasse interval once per point and
+    caches the result by coordinates.  Instances are immutable apart from
+    those idempotent cache writes, and all point operations are pure, so
+    curves and points can be shared freely across threads.
     """
 
-    __slots__ = ("p", "a", "b", "_order")
+    __slots__ = ("p", "a", "b", "_order", "_orders")
 
     def __init__(self, p, a, b):
         self.p = p if isinstance(p, Prime) else Prime(p)
@@ -42,6 +42,7 @@ class Curve:
         if (4 * self.a ** 3 + 27 * self.b ** 2) % self.p == 0:
             raise SingularCurveError(f"4a^3 + 27b^2 = 0 mod {self.p}: curve is singular")
         self._order = None
+        self._orders = {}
 
     @property
     def order(self) -> int:
@@ -97,20 +98,23 @@ class Curve:
     def order_of(self, point: Point) -> int:
         """Order of a point: the least m > 0 with m*point = infinity.
 
-        Starting from a multiple m of the order, each prime q of m is
-        stripped while (m/q)*point is still infinity; what remains is the
-        order.  The multiple is #E once the curve has counted itself, and
-        otherwise the first m*point = infinity in the Hasse interval, found
-        without counting.  Refuses p > 2**20 like `enumerate_points`,
-        because the primes of m are found by trial division.
+        The first m*point = infinity in the Hasse interval is a multiple of
+        the order, found without counting; each prime q of m is then
+        stripped while (m/q)*point is still infinity, and what remains is
+        the order.  Each point is searched once and its order cached.
+        Refuses p > 2**20 like `enumerate_points`, because the primes of m
+        are found by trial division.
         """
         if point.curve != self:
             raise ValueError("point belongs to a different curve")
         self._require_enumerable()
-        m = self._order if self._order is not None else self._hasse_multiple(point)
-        for q in _prime_factors(m):
-            while m % q == 0 and ((m // q) * point).is_infinity:
-                m //= q
+        m = self._orders.get((point.x, point.y))
+        if m is None:
+            m = self._hasse_multiple(point)
+            for q in _prime_factors(m):
+                while m % q == 0 and ((m // q) * point).is_infinity:
+                    m //= q
+            self._orders[point.x, point.y] = m
         return m
 
     def _hasse_multiple(self, point: Point) -> int:

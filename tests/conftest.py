@@ -122,3 +122,17 @@ def enumerations(monkeypatch):
 
     monkeypatch.setattr(ec.Curve, "enumerate_points", counting_enumerate)
     return enumerated
+
+
+@pytest.fixture()
+def searches(monkeypatch):
+    """The point of every Curve._hasse_multiple() call made while the test runs."""
+    searched = []
+    original = ec.Curve._hasse_multiple
+
+    def counting_search(self, point):
+        searched.append(point)
+        return original(self, point)
+
+    monkeypatch.setattr(ec.Curve, "_hasse_multiple", counting_search)
+    return searched

@@ -473,6 +473,63 @@ def test_fifo_output_is_written_through(run_cli, workdir):
     assert fifo.is_fifo()
 
 
+def _other_name_for(workdir, path, spelling):
+    """`path` as given, with a leading ./, or through a symlink made for it."""
+    if spelling == "symlink":
+        (workdir / "link").symlink_to(path)
+        return "link"
+    return {"same": path, "dot": f"./{path}"}[spelling]
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["missing", "existing"])
+@pytest.mark.parametrize("spelling", ["same", "dot", "symlink"])
+def test_keygen_refuses_one_file_for_both_keys(run_cli, workdir, spelling, existing):
+    if existing:
+        (workdir / "k.ecff").write_bytes(b"old")
+    other = _other_name_for(workdir, "k.ecff", spelling)
+    before = sorted(path.name for path in workdir.iterdir())
+    result = run_cli("keygen", "--curve", "demo.ecff", "--seed", 9,
+                     "--out-private", "k.ecff", "--out-public", other, cwd=workdir)
+    assert result.returncode == 2
+    assert result.stderr == f"error: output '{other}' is the same file as output 'k.ecff'\n"
+    assert sorted(path.name for path in workdir.iterdir()) == before
+    if existing:
+        assert (workdir / "k.ecff").read_bytes() == b"old"
+
+
+@pytest.mark.parametrize("spelling", ["same", "dot", "symlink"])
+@pytest.mark.parametrize("target", ["alice.priv", "bob.pub"])  # --private, --peer-public
+def test_derive_specific_refuses_to_overwrite_its_input(run_cli, workdir, spelling, target):
+    _make_demo_keys(run_cli, workdir)
+    other = _other_name_for(workdir, target, spelling)
+    before = {path.name: path.read_bytes() for path in workdir.iterdir() if not path.is_symlink()}
+    result = run_cli("derive-specific", "--private", "alice.priv", "--peer-public", "bob.pub",
+                     "--out", other, cwd=workdir)
+    assert result.returncode == 2
+    assert result.stderr == f"error: output '{other}' is the same file as input '{target}'\n"
+    assert {path.name: path.read_bytes()
+            for path in workdir.iterdir() if not path.is_symlink()} == before
+
+
+def test_keygen_refuses_to_overwrite_the_curve_file(run_cli, workdir):
+    before = (workdir / "demo.ecff").read_bytes()
+    result = run_cli("keygen", "--curve", "demo.ecff", "--seed", 9,
+                     "--out-private", "demo.ecff", "--out-public", "d.pub", cwd=workdir)
+    assert result.returncode == 2
+    assert result.stderr == "error: output 'demo.ecff' is the same file as input 'demo.ecff'\n"
+    assert sorted(path.name for path in workdir.iterdir()) == ["demo.ecff"]
+    assert (workdir / "demo.ecff").read_bytes() == before
+
+
+def test_both_keys_to_one_pipe_are_written_through(run_cli, workdir):
+    # Captured stdout is a pipe, not a regular file, so it may be named twice.
+    result = run_cli("keygen", "--curve", "demo.ecff", "--seed", 9,
+                     "--out-private", "/dev/stdout", "--out-public", "/dev/stdout", cwd=workdir)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count("format = ecff-v1\n") == 2
+    assert "kind = private\n" in result.stdout and "kind = public-general\n" in result.stdout
+
+
 @pytest.mark.parametrize("existing", [False, True])
 def test_keygen_takes_back_the_private_key_when_the_public_replace_fails(
     workdir, monkeypatch, capsys, existing

@@ -15,10 +15,12 @@ from eccipher import (
     AlphabetTooLargeError,
     CodeTable,
     Curve,
+    CurveTooLargeError,
     DEFAULT_ALPHABET,
     Point,
     UnknownPointError,
     UnknownSymbolError,
+    keygen,
     slow_scalar_mul,
 )
 
@@ -116,6 +118,29 @@ def test_from_generator_needs_no_group_order(e37_table, enumerations):
     assert enumerations == []
     empty = CodeTable.from_generator(fresh, fresh.point(*vectors.TABLE_POINT), "")
     assert len(empty) == 0 and empty.encode_message(empty.alphabet) == []
+
+
+def test_from_generator_reuses_the_order_keygen_found(searches, additions):
+    # A table on the key base, as `curve init` builds by default: the
+    # generator's order was searched for the keys, so the table adds nothing.
+    curve = Curve(16381, 2, 9)
+    generator = curve.point(2, 9880)
+    keygen(curve, generator, random.Random(1))
+    searches.clear()
+    additions.clear()
+    alphabet = "".join(chr(0x4E00 + i) for i in range(16473))
+    table = CodeTable.from_generator(curve, generator, alphabet)
+    assert searches == [] and additions == []
+    with pytest.raises(AlphabetTooLargeError, match="only addresses 16473 points"):
+        CodeTable.from_generator(curve, generator, alphabet + "A")
+    assert searches == []
+    assert table.decode_point(table.encode_symbol(alphabet[-1])) == alphabet[-1]
+
+
+def test_from_generator_refuses_oversized_curve():
+    curve = Curve(1048583, 0, 1)  # prime just above 2**20
+    with pytest.raises(CurveTooLargeError, match=r"^p = 1048583 exceeds enumeration limit 2\*\*20$"):
+        CodeTable.from_generator(curve, curve.point(2, 3), "*ab")
 
 
 def _generator_of_each_order(p, a, b):

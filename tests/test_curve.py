@@ -3,6 +3,8 @@ and point orders."""
 
 import math
 import random
+import sys
+import threading
 
 import pytest
 
@@ -350,7 +352,8 @@ def test_point_order_divides_group_order(e1009):
 def test_order_of_matches_repeated_addition(params):
     # #E is 9 = 3^2 on E_5(1,1) and 1060 = 2^2*5*53 on E_1009(7,21), so the
     # prime stripping divides by one prime more than once.  The points are
-    # asked of a fresh curve, which searches the Hasse interval instead.
+    # asked of a fresh curve and of the one that listed them; both search
+    # the Hasse interval, as counting the group does not change order_of.
     curve, listing = Curve(*params), Curve(*params)
     for listed in listing.enumerate_points():
         point = curve.infinity() if listed.is_infinity else curve.point(listed.x, listed.y)
@@ -380,6 +383,8 @@ def _orders_by_addition(points):
 
 @pytest.mark.parametrize("p, a, b", _SMALL_CURVES)
 def test_order_of_by_search_matches_counted_order(p, a, b, enumerations):
+    # The counted curve knows #E, the fresh one does not; order_of takes
+    # the same search on both, and only the counted curve is enumerated.
     fresh, counted = Curve(p, a, b), Curve(p, a, b)
     listed = counted.enumerate_points()
     by_addition = _orders_by_addition(listed)
@@ -387,6 +392,45 @@ def test_order_of_by_search_matches_counted_order(p, a, b, enumerations):
         same = fresh.infinity() if point.is_infinity else fresh.point(point.x, point.y)
         assert fresh.order_of(same) == counted.order_of(point) == by_addition[point], point
     assert enumerations == [counted]
+
+
+@pytest.mark.parametrize("p, a, b", [(37, 2, 9), (1009, 7, 21)])
+def test_each_point_is_searched_once_on_an_enumerated_curve(p, a, b, searches):
+    # Counting the group leaves point orders to the search, once per point.
+    curve = Curve(p, a, b)
+    listed = curve.enumerate_points()
+    first = [curve.order_of(point) for point in listed]
+    assert [curve.order_of(point) for point in listed] == first
+    assert searches == listed
+    assert all(curve.order % n == 0 for n in first)
+
+
+def test_threads_sharing_a_curve_get_every_order_right():
+    # The per-point cache is written without a lock: a write only ever
+    # stores the one order of that point, so racing threads agree.
+    curve = Curve(vectors.MID_P, vectors.MID_A, vectors.MID_B)
+    listed = Curve(vectors.MID_P, vectors.MID_A, vectors.MID_B).enumerate_points()
+    expected = _orders_by_addition(listed)
+    points = [curve.infinity() if pt.is_infinity else curve.point(pt.x, pt.y) for pt in listed]
+    wrong = []
+
+    def worker(seed):
+        shuffled = random.Random(seed).sample(points, len(points))
+        wrong.extend(pt for pt in shuffled if curve.order_of(pt) != expected[pt])
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert all(curve.order_of(pt) == expected[pt] for pt in points)
 
 
 def _distinct_primes(n):

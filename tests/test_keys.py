@@ -100,6 +100,15 @@ def test_keygen_on_fresh_curve_matches_primed_curve():
             == keygen(primed, primed.point(9, 4), random.Random(1)))
 
 
+def test_keygen_searches_the_base_order_once(searches):
+    # keygen and the PrivateKey it builds both need n; the curve keeps it.
+    curve = Curve(16381, 2, 9)
+    base = curve.point(2, 9880)
+    private, _ = keygen(curve, base, random.Random(1))
+    assert private.base_order == 16473
+    assert searches == [base]
+
+
 def test_keygen_refuses_oversized_curve():
     curve = Curve(1048583, 0, 1)  # prime just above 2**20
     with pytest.raises(CurveTooLargeError, match=r"^p = 1048583 exceeds enumeration limit 2\*\*20$"):
