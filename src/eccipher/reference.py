@@ -4,10 +4,17 @@ These exist so the fast paths can be audited against code with no shared
 logic: literal repeated addition instead of double-and-add, and toy-scale
 discrete-log solvers that demonstrate why only small curves are used here.
 None of this is, or pretends to be, secure.
+
+Every general public key leaks alpha*C = K1 - K2 on a base C that many
+keys share, so breaking many keys means many logs to one base.  The
+baby-step giant-step solver therefore keeps the baby steps of the last
+generator it was asked about: a run of breaks on one base builds them once
+and pays only the giant steps for each key.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isqrt
 
 from .curve import Point
@@ -39,18 +46,37 @@ def ecdlp_exhaustive(generator: Point, target: Point, n: int) -> int | None:
 def ecdlp_bsgs(generator: Point, target: Point, n: int) -> int | None:
     """Baby-step giant-step discrete log in O(sqrt(n)) group operations.
 
-    Same contract as ecdlp_exhaustive: the two must agree everywhere.
+    Same contract as ecdlp_exhaustive: the two must agree everywhere.  The
+    baby steps of the last (generator, m) are kept, m = ceil(sqrt(n)), so
+    further calls on an equal generator and m take only the giant steps.
     """
-    m = isqrt(n - 1) + 1 if n > 1 else 1
+    if n <= 0 or target.curve != generator.curve:
+        return None
+    m = isqrt(n - 1) + 1
+    baby, stride = _baby_steps(generator, m)
+    current = target
+    for i in range(m):
+        j = baby.get(current)
+        if j is not None:
+            # The first hit is the smallest k in [0, m*m); past n there is none.
+            k = i * m + j
+            return k if k < n else None
+        current = current + stride
+    return None
+
+
+@lru_cache(maxsize=1)
+def _baby_steps(generator: Point, m: int) -> tuple[dict[Point, int], Point]:
+    """The least j < m for each point j*generator, and the stride -m*generator.
+
+    Keyed by point value, so an equal generator on an equal but separate
+    curve finds the same entry.  The dict is complete before it is returned
+    and never changed, so threads sharing an entry each see all of it.
+    """
     baby = {}
     step = generator.curve.infinity()
     for j in range(m):
         baby.setdefault(step, j)
         step = step + generator
-    stride = -(m * generator)
-    current = target
-    for i in range(m):
-        if current in baby:
-            return i * m + baby[current]
-        current = current + stride
-    return None
+    # step is now m*generator.
+    return baby, -step

@@ -136,3 +136,17 @@ def searches(monkeypatch):
 
     monkeypatch.setattr(ec.Curve, "_hasse_multiple", counting_search)
     return searched
+
+
+@pytest.fixture()
+def additions(monkeypatch):
+    """Every Point.__add__ call made while the test runs, as (P, Q)."""
+    made = []
+    original = ec.Point.__add__
+
+    def counting_add(self, other):
+        made.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(ec.Point, "__add__", counting_add)
+    return made

@@ -17,7 +17,6 @@ from eccipher import (
     Curve,
     CurveTooLargeError,
     DEFAULT_ALPHABET,
-    Point,
     UnknownPointError,
     UnknownSymbolError,
     keygen,
@@ -221,20 +220,6 @@ def test_point_on_another_curve_with_equal_coordinates_raises():
                 table.decode_point(stranger)
             with pytest.raises(UnknownPointError, match="is not in the code table"):
                 table.decode_message([same, stranger])
-
-
-@pytest.fixture()
-def additions(monkeypatch):
-    """Every Point.__add__ call made while the test runs, as (P, Q)."""
-    made = []
-    original = Point.__add__
-
-    def counting_add(self, other):
-        made.append((self, other))
-        return original(self, other)
-
-    monkeypatch.setattr(Point, "__add__", counting_add)
-    return made
 
 
 def test_a_batch_costs_a_prefix_and_giant_steps_not_the_whole_walk(additions):
