@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import math
 import threading
 from typing import Sequence
 
-from .curve import Curve, Point
+from .curve import Curve, Point, _ceil_sqrt, _Multiples
 
 # 43 symbols: '*', the lowercase letters, the digits 1..9 then 0, and six
 # marks.  Sized to cover every point of a 43-point curve, identity included.
@@ -25,10 +24,6 @@ class UnknownPointError(ValueError):
     """A point outside the table."""
 
 
-def _ceil_sqrt(n: int) -> int:
-    return math.isqrt(n - 1) + 1 if n else 0
-
-
 class CodeTable:
     """The agreed code table: the i-th alphabet symbol is i * G.
 
@@ -38,18 +33,18 @@ class CodeTable:
     symbols as message points and cipher points back as text.  Built only
     by from_generator.
 
-    The table holds only a prefix of its generator walk: the first m
-    multiples of G, as a list and a point -> index dict, and the stride
-    S = m * G.  Index i >= m is (i // m) * S + prefix[i % m]; a point the
-    dict misses is found by Shanks' giant steps P - t*S, t = 1, 2, ...
-    The prefix is built on the first lookup, not by from_generator: a
-    batch of d symbols grows it to min(N, ceil(sqrt(d * N))), which keeps
-    the batch near 2*sqrt(d * N) group additions, and a single symbol to
-    ceil(sqrt(N)); at m = N it is the whole table.  Growth only extends
-    the prefix, under a lock, and publishes the new (prefix, dict,
-    stride) with one attribute assignment, so readers sharing a table see
-    an old or a new prefix, never a half-built one.  No result depends on
-    which.
+    The table holds only a prefix of its generator walk, in the curve
+    module's baby-step giant-step core: the first m multiples of G, a
+    point -> index dict and the stride S = m * G.  Index i >= m is
+    (i // m) * S + prefix[i % m]; a point the dict misses is found by the
+    core's giant steps P - t*S, t = 1, 2, ...  The prefix is built on the
+    first lookup, not by from_generator: a batch of d symbols grows it to
+    min(N, ceil(sqrt(d * N))), which keeps the batch near 2*sqrt(d * N)
+    group additions, and a single symbol to ceil(sqrt(N)); at m = N it is
+    the whole table.  Growth builds a longer core from copies, under a
+    lock, and publishes it with one attribute assignment, so readers
+    sharing a table see an old or a new prefix, never a half-built one.
+    No result depends on which.
     """
 
     @classmethod
@@ -67,11 +62,10 @@ class CodeTable:
             raise ValueError("generator belongs to a different curve")
         table = object.__new__(cls)
         table.curve = curve
-        table._generator = generator
         table._alphabet = alphabet
         table._index_of_symbol = {symbol: i for i, symbol in enumerate(alphabet)}
         table._lock = threading.Lock()
-        table._walk = ([], {}, curve.infinity())
+        table._walk = _Multiples(generator, 0)
         size = len(alphabet)
         order = curve.order_of(generator)
         if order < size:
@@ -89,43 +83,22 @@ class CodeTable:
     def __len__(self) -> int:
         return len(self._alphabet)
 
-    def _grown(self, batch: int) -> tuple[list[Point], dict[Point, int], Point]:
-        """The walk, its prefix first extended to min(N, ceil(sqrt(batch * N)))."""
+    def _grown(self, batch: int) -> _Multiples:
+        """The walk, first extended to min(N, ceil(sqrt(batch * N))) multiples."""
         size = len(self._alphabet)
         wanted = min(size, _ceil_sqrt(batch * size))
         walk = self._walk
-        if len(walk[0]) >= wanted:
+        if len(walk.points) >= wanted:
             return walk
         with self._lock:
-            prefix, index_of_point, current = walk = self._walk
-            if len(prefix) < wanted:
-                prefix, index_of_point = prefix.copy(), index_of_point.copy()
-                generator = self._generator
-                for i in range(len(prefix), wanted):
-                    prefix.append(current)
-                    index_of_point[current] = i
-                    current = current + generator
-                walk = self._walk = (prefix, index_of_point, current)
+            walk = self._walk
+            if len(walk.points) < wanted:
+                walk = self._walk = walk.extended(wanted)
         return walk
 
-    def _index(self, point: Point, walk) -> int | None:
-        """The index i < N with i*G = point, by a dict hit or giant steps; else None."""
-        prefix, index_of_point, stride = walk
-        index = index_of_point.get(point)
-        if index is not None or not prefix or point.curve != self.curve:
-            return index
-        size, m = len(self._alphabet), len(prefix)
-        step = -stride
-        for base in range(m, size, m):
-            point = point + step
-            index = index_of_point.get(point)
-            if index is not None:
-                return base + index if base + index < size else None
-        return None
-
-    def _points(self, indices: list[int], walk) -> list[Point]:
-        """i*G for each index: prefix[i], or (i // m)*S + prefix[i % m]."""
-        prefix, _, stride = walk
+    def _points(self, indices: list[int], walk: _Multiples) -> list[Point]:
+        """i*G for each index: points[i], or (i // m)*S + points[i % m]."""
+        prefix, stride = walk.points, walk.stride
         m = len(prefix)
         giants = [None, stride]   # giants[t] = t*S, extended as needed
         points = []
@@ -163,7 +136,7 @@ class CodeTable:
         walk = self._grown(len(points))
         symbols = []
         for point in points:
-            index = self._index(point, walk)
+            index = walk.log(point, len(self._alphabet))
             if index is None:
                 raise UnknownPointError(f"point {point} is not in the code table")
             symbols.append(self._alphabet[index])

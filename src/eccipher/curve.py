@@ -54,10 +54,6 @@ class Curve:
     def is_on_curve(self, x: int, y: int) -> bool:
         return (y * y - (x * x * x + self.a * x + self.b)) % self.p == 0
 
-    def contains(self, point: Point) -> bool:
-        """True iff the point is infinity or satisfies this curve's equation."""
-        return point.is_infinity or self.is_on_curve(point.x, point.y)
-
     def point(self, x, y) -> Point:
         return Point(self, x, y)
 
@@ -120,26 +116,16 @@ class Curve:
     def _hasse_multiple(self, point: Point) -> int:
         """The least m in [p+1-2*sqrt(p), p+1+2*sqrt(p)] with m*point = infinity.
 
-        #E lies in that interval (Hasse), so some m does.  Baby steps
-        j*point for j < s, giant steps -(low + i*s)*point: a match j gives
-        m = low + i*s + j, in about 2*sqrt(4*sqrt(p)) group operations.
+        #E lies in that interval (Hasse), so some m does: m = low + k for
+        the least k with k*point = -(low*point), found by baby-step
+        giant-step in about 2*sqrt(4*sqrt(p)) group operations.
         """
         reach = isqrt(4 * self.p)
         low = self.p + 1 - reach
-        s = isqrt(2 * reach) + 1
-        baby = {}
-        step = self.infinity()
-        for j in range(s):
-            baby.setdefault(step, j)
-            step = step + point
-        # step is now s*point.
-        giant = -(low * point)
-        for i in range(2 * reach // s + 1):
-            j = baby.get(giant)
-            if j is not None:
-                return low + i * s + j
-            giant = giant - step
-        raise AssertionError(f"no multiple of the order of {point} in the Hasse interval")
+        k = _Multiples(point, isqrt(2 * reach) + 1).log(-(low * point), 2 * reach + 1)
+        if k is None:
+            raise AssertionError(f"no multiple of the order of {point} in the Hasse interval")
+        return low + k
 
     def _require_enumerable(self) -> None:
         if self.p > ENUMERATION_LIMIT:
@@ -279,3 +265,61 @@ class Point:
 
     def __repr__(self) -> str:
         return f"Point[{self}] on {self.curve!r}"
+
+
+def _ceil_sqrt(n: int) -> int:
+    """The least m >= 0 with m*m >= n, for n >= 0."""
+    return isqrt(n - 1) + 1 if n else 0
+
+
+class _Multiples:
+    """The first m multiples of a generator G, for baby-step giant-step.
+
+    `points[j]` is j*G, `index` maps each of those points to its least j,
+    and `stride` is m*G.  A value is built whole and never changed;
+    `extended` builds a longer one from copies, so threads that share a
+    value and publish a longer one by assignment each see all of either.
+    """
+
+    __slots__ = ("generator", "points", "index", "stride")
+
+    def __init__(self, generator: Point, m: int):
+        self.generator = generator
+        self.points, self.index, self.stride = [], {}, generator.curve.infinity()
+        self._walk_to(m)
+
+    def extended(self, m: int) -> _Multiples:
+        """The first max(m, len(points)) multiples, as a new value."""
+        longer = _Multiples(self.generator, 0)
+        longer.points, longer.index = self.points.copy(), self.index.copy()
+        longer.stride = self.stride
+        longer._walk_to(m)
+        return longer
+
+    def _walk_to(self, m: int) -> None:
+        points, index, current = self.points, self.index, self.stride
+        for j in range(len(points), m):
+            points.append(current)
+            index.setdefault(current, j)
+            current = current + self.generator
+        self.stride = current
+
+    def log(self, target: Point, n: int) -> int | None:
+        """The least k < n with k*G = target, or None; an empty value finds none.
+
+        A dict hit j is that k.  After a miss, giant steps look up
+        target - t*stride for 0 < t < ceil(n/m); the first hit t*m + j is
+        the least k, and a first hit at or past n means there is none.
+        """
+        k = self.index.get(target)
+        m = len(self.points)
+        curve = self.generator.curve
+        if k is None and m and (target.curve is curve or target.curve == curve):
+            step = -self.stride
+            for base in range(m, n, m):
+                target = target + step
+                j = self.index.get(target)
+                if j is not None:
+                    k = base + j
+                    break
+        return k if k is not None and k < n else None

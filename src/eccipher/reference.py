@@ -15,9 +15,8 @@ and pays only the giant steps for each key.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt
 
-from .curve import Point
+from .curve import Point, _ceil_sqrt, _Multiples
 
 
 def slow_scalar_mul(k: int, point: Point) -> Point:
@@ -50,33 +49,11 @@ def ecdlp_bsgs(generator: Point, target: Point, n: int) -> int | None:
     baby steps of the last (generator, m) are kept, m = ceil(sqrt(n)), so
     further calls on an equal generator and m take only the giant steps.
     """
-    if n <= 0 or target.curve != generator.curve:
+    if n <= 0:
         return None
-    m = isqrt(n - 1) + 1
-    baby, stride = _baby_steps(generator, m)
-    current = target
-    for i in range(m):
-        j = baby.get(current)
-        if j is not None:
-            # The first hit is the smallest k in [0, m*m); past n there is none.
-            k = i * m + j
-            return k if k < n else None
-        current = current + stride
-    return None
+    return _kept(generator, _ceil_sqrt(n)).log(target, n)
 
 
-@lru_cache(maxsize=1)
-def _baby_steps(generator: Point, m: int) -> tuple[dict[Point, int], Point]:
-    """The least j < m for each point j*generator, and the stride -m*generator.
-
-    Keyed by point value, so an equal generator on an equal but separate
-    curve finds the same entry.  The dict is complete before it is returned
-    and never changed, so threads sharing an entry each see all of it.
-    """
-    baby = {}
-    step = generator.curve.infinity()
-    for j in range(m):
-        baby.setdefault(step, j)
-        step = step + generator
-    # step is now m*generator.
-    return baby, -step
+# Keyed by point value, so an equal generator on an equal but separate
+# curve finds the kept entry; each entry is built whole and never changed.
+_kept = lru_cache(maxsize=1)(_Multiples)

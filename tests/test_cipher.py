@@ -141,7 +141,7 @@ def test_infinity_is_a_legal_cipher_point(e37, bob_to_alice, alice_from_bob):
     # both slots must flow through decryption unharmed.
     inf_pair = (e37.infinity(), e37.infinity())
     recovered = decrypt_point(alice_from_bob, inf_pair)
-    assert e37.contains(recovered)
+    assert recovered.is_infinity or e37.is_on_curve(recovered.x, recovered.y)
     plain = decrypt_message(alice_from_bob, "**")
     assert len(plain) == 1
 

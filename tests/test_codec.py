@@ -291,4 +291,4 @@ def test_threads_sharing_a_table_see_one_growing_prefix():
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     largest = math.isqrt(max(batches) * 530 - 1) + 1
-    assert [len(table._walk[0]) for table in tables] == [largest] * rounds
+    assert [len(table._walk.points) for table in tables] == [largest] * rounds

@@ -8,6 +8,7 @@ import pytest
 
 import vectors
 from eccipher import Curve, ecdlp_bsgs, ecdlp_exhaustive, slow_scalar_mul
+from eccipher.curve import _Multiples
 
 
 def test_slow_scalar_mul_vector(e37):
@@ -138,6 +139,36 @@ def test_kept_baby_steps_answer_like_the_oracle(e37, e1009):
                 target = k * generator
                 expected = ecdlp_exhaustive(generator, target, n)
                 assert ecdlp_bsgs(generator, target, n) == expected, (generator, k, n)
+
+
+def test_the_baby_step_core_answers_like_the_oracle(e37, e31, e1009):
+    # Fresh and extended cores, with m below and past the generator's order
+    # (43, infinity's 1, and 2 and 5 on E_1009), give the oracle's least
+    # k < n for every bound and target; extension keeps each least j.
+    points = e1009.enumerate_points()
+    two = next(p for p in points[1:] if p.y == 0)
+    five = next(q for q in (212 * p for p in points) if not q.is_infinity)
+    # Every point of E_37 is a target; on E_1009, each point whose order
+    # divides 10 and every 53rd point, as all 1060 would take half a minute.
+    spans = [p for p in points if (10 * p).is_infinity]
+    stranger = e31.point(*vectors.ALT_BASE)
+    for generator in (e37.point(5, 25), e37.point(9, 4), e37.infinity(), two, five):
+        if generator.curve is e37:
+            targets = e37.enumerate_points() + [stranger]
+        else:
+            targets = spans + points[::53] + [stranger]
+        # The least k < n is the least k < 61 when that is below n.
+        least = {target: ecdlp_exhaustive(generator, target, 61) for target in targets}
+        for m in (1, 2, 3, 7, 12):
+            start = _Multiples(generator, 1)
+            for core in (_Multiples(generator, m), start.extended(m)):
+                assert core.points == [slow_scalar_mul(j, generator) for j in range(m)]
+                assert core.stride == m * generator
+                for target, k in least.items():
+                    for n in range(61):
+                        expected = k if k is not None and k < n else None
+                        assert core.log(target, n) == expected, (generator, m, target, n)
+            assert len(start.points) == 1 and start.stride == generator
 
 
 def test_a_second_solve_on_one_base_takes_only_giant_steps(e1009, additions):
