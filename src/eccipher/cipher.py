@@ -18,8 +18,9 @@ mask with
     M = E2 - (r * E1 + r * J1 + T)
 
 using their secret scalar r, the sender's first public point J1 and the
-sender's specific key T published for them.  Rendering E1 and E2 through
-the shared code table yields two ciphertext symbols per plaintext symbol.
+sender's specific key T published for them.  The decryption context holds
+r * J1 + T, so a symbol costs one scalar multiply.  Rendering E1 and E2
+through the shared table yields two ciphertext symbols per plaintext symbol.
 """
 
 from __future__ import annotations
@@ -71,9 +72,10 @@ class EncryptionContext:
 
 class DecryptionContext:
     """Everything the recipient needs: own private key, the sender's first
-    general public point, the sender's specific key, and the table."""
+    general public point, the sender's specific key, and the table.  It
+    also holds r*J1 + T, the part of the mask that no nonce changes."""
 
-    __slots__ = ("recipient_private", "sender_k1", "sender_specific", "table")
+    __slots__ = ("recipient_private", "sender_k1", "sender_specific", "table", "_offset")
 
     def __init__(self, recipient_private: PrivateKey, sender_k1: Point,
                  sender_specific: SpecificPublicKey, table: CodeTable):
@@ -86,6 +88,7 @@ class DecryptionContext:
             raise ValueError("all context points must share one curve")
         if table.curve != curve:
             raise ValueError("code table belongs to a different curve")
+        self._offset = recipient_private.scalar * sender_k1 + sender_specific.point
 
 
 def encrypt_point(ctx: EncryptionContext, message_point: Point, nonce: int) -> tuple[Point, Point]:
@@ -109,8 +112,7 @@ def decrypt_point(ctx: DecryptionContext, pair: tuple[Point, Point]) -> Point:
     e1, e2 = pair
     if e1.curve != private.curve or e2.curve != private.curve:
         raise InvalidCiphertextError("cipher points do not belong to this curve")
-    mask = private.scalar * e1 + private.scalar * ctx.sender_k1 + ctx.sender_specific.point
-    return e2 - mask
+    return e2 - (private.scalar * e1 + ctx._offset)
 
 
 def encrypt_message(ctx: EncryptionContext, message: str,

@@ -8,13 +8,16 @@ One flat format, `ecff-v1`, shared by every file kind::
 
 Every kind embeds the full curve setup (modulus, coefficients, shared base
 point, code-table point, alphabet) so any file is self-describing and any
-two files can be checked for agreement.  `_BODY` lists each kind's entries
-after the setup; it is the one description of a kind, which both the writer
-and the reader follow.  Points are written as `name.x` / `name.y` line
-pairs, or `name = inf` for the identity.  Integers are plain decimals
-without leading zeros.  Files are canonical: fixed key order, one
-`key = value` per line, single spaces, trailing newline — so parse followed
-by render is byte-identical, and any accepted file is already canonical.
+two files can be checked for agreement.  The setup is always lines 3-10,
+and files carrying equal setup lines share one parsed `CurveSetup`, so the
+files of one command share one curve, its order caches and one alphabet
+check.  `_BODY` lists each kind's entries after the setup; it is the one
+description of a kind, which both the writer and the reader follow.
+Points are written as `name.x` / `name.y` line pairs, or `name = inf` for
+the identity.  Integers are plain decimals without leading zeros.  Files
+are canonical: fixed key order, one `key = value` per line, single spaces,
+trailing newline — so parse followed by render is byte-identical, and any
+accepted file is already canonical.
 
 Parsing and rendering are pure string functions; callers own the file I/O.
 `render_X` takes the setup and the keys, and `parse_X` returns them:
@@ -25,6 +28,7 @@ one, so `parse_X(render_X(*values)) == values`.  The suggested extension is
 
 from __future__ import annotations
 
+import functools
 import re
 
 from ._messages import brief
@@ -50,7 +54,10 @@ class KeyFileError(ValueError):
 
 class CurveSetup(Record):
     """The public agreement two parties share: curve, base point C used for
-    keys and nonces, the point generating the code table, and the alphabet."""
+    keys and nonces, the point generating the code table, and the alphabet.
+
+    Key files with equal setup lines share one parsed setup, so a setup,
+    like a curve, must be treated as immutable."""
 
     __slots__ = ("curve", "base", "table_point", "alphabet")
 
@@ -133,11 +140,9 @@ class _Reader:
     message cites.
     """
 
-    def __init__(self, text: str):
-        if not text.endswith("\n"):
-            raise KeyFileError("line 1: file must end with a newline")
-        self.lines = text.split("\n")[:-1]
-        self.pos = 0
+    def __init__(self, lines, pos: int = 0):
+        self.lines = lines
+        self.pos = pos
 
     def take(self, key: str) -> str:
         if self.pos >= len(self.lines):
@@ -189,7 +194,15 @@ class _Reader:
         return self.take_point(curve, name, allow_infinity=entry_type == _POINT_OR_INF)
 
 
-def _parse_setup(reader: _Reader) -> CurveSetup:
+# p, a, b, base.x, base.y, table.x, table.y and alphabet, in every kind.
+_SETUP_LINES = slice(2, 10)
+
+
+@functools.lru_cache(maxsize=1)
+def _setup_of(lines: tuple[str, ...]) -> CurveSetup:
+    """The setup on file lines 3-10, parsed once per distinct text.  An
+    error is raised, never cached, and cites its line in the file."""
+    reader = _Reader(("",) * _SETUP_LINES.start + lines, pos=_SETUP_LINES.start)
     p = reader.take_int("p")
     try:
         prime = Prime(p)
@@ -213,14 +226,17 @@ def _parse_setup(reader: _Reader) -> CurveSetup:
 def _parse(text: str, kind: str) -> tuple[CurveSetup, list, list[int]]:
     """The setup of a `kind` file, its body values in `_BODY[kind]` order,
     and the line on which each value ended."""
-    reader = _Reader(text)
+    if not text.endswith("\n"):
+        raise KeyFileError("line 1: file must end with a newline")
+    reader = _Reader(text.split("\n")[:-1])
     tag = reader.take("format")
     if tag != FORMAT_TAG:
         raise KeyFileError(f"line 1: unknown format tag {brief(tag)}")
     found = reader.take("kind")
     if found != kind:
         raise KeyFileError(f"line 2: expected kind {kind!r}, found {brief(found)}")
-    setup = _parse_setup(reader)
+    setup = _setup_of(tuple(reader.lines[_SETUP_LINES]))
+    reader.pos = _SETUP_LINES.stop
     values, ends = [], []
     for name, entry_type in _BODY[kind]:
         values.append(reader.take_entry(setup.curve, name, entry_type))

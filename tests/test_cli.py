@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import vectors
-from eccipher import cli
+from eccipher import cli, keyfile
 
 CURVE_ARGS = ["--p", "37", "--a", "2", "--b", "9", "--base", "9,4", "--table-base", "5,25"]
 
@@ -750,6 +750,40 @@ def test_key_commands_never_count_the_group(tmp_path, monkeypatch, enumerations,
                      "--peer-specific", "bob_for_alice.spec", "--cipher", "b5cl#jvb7p@f"]) == 0
     assert capsys.readouterr() == ("b5cl#jvb7p@f\nattack\n", "")
     assert enumerations == []
+
+
+def test_encrypt_parses_the_setup_of_its_three_files_once(tmp_path, monkeypatch, capsys,
+                                                         searches):
+    # The private key, the peer's general key and the peer's specific key
+    # carry equal setup lines, so encrypt builds one CurveSetup on one curve
+    # and searches the base order once; without --table-base the base also
+    # generates the code table.  The parse cache is cleared so the
+    # ceremony's parses do not count.
+    monkeypatch.chdir(tmp_path)
+    assert CURVE_ARGS[-2] == "--table-base"
+    assert cli.main(["curve", "init", *CURVE_ARGS[:-2], "--out", "demo.ecff"]) == 0
+    for name, seed in (("alice", "1"), ("bob", "2")):
+        assert cli.main(["keygen", "--curve", "demo.ecff", "--seed", seed,
+                         "--out-private", f"{name}.priv", "--out-public", f"{name}.pub"]) == 0
+    assert cli.main(["derive-specific", "--private", "alice.priv", "--peer-public", "bob.pub",
+                     "--out", "alice_for_bob.spec"]) == 0
+    capsys.readouterr()
+    keyfile._setup_of.cache_clear()
+    searches.clear()
+    built = []
+    original = keyfile.CurveSetup.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(keyfile.CurveSetup, "__init__", counting_init)
+    assert cli.main(["encrypt", "--private", "bob.priv", "--peer-public", "alice.pub",
+                     "--peer-specific", "alice_for_bob.spec", "--message", "attack",
+                     "--seed", "4"]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(built) == 1
+    assert [(pt.x, pt.y) for pt in searches] == [vectors.BASE]
 
 
 # ------------------------------------------------------------------ start-up

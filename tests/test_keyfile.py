@@ -2,12 +2,13 @@
 
 import random
 import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
 import vectors
-from eccipher import Curve, CurveSetup, KeyFileError, keypair_from_secret
+from eccipher import Curve, CurveSetup, KeyFileError, cli, keypair_from_secret
 from eccipher.keyfile import (
     parse_curve_setup,
     parse_general_public_key,
@@ -347,3 +348,97 @@ def test_overlong_integer_is_refused_with_its_line(e37, key, line, digit_limit):
     finally:
         if saved is not None:
             sys.set_int_max_str_digits(saved)
+
+
+# ------------------------------------------------------------- shared setup
+
+_KEY_KINDS = ("private", "public-general", "public-specific")
+
+
+def test_files_with_equal_setup_lines_share_one_setup(e37):
+    setups = [parse(text)[0] for text, parse in (_rendered(kind, e37) for kind in _KEY_KINDS)]
+    assert setups[0] == _setup(e37)
+    assert setups[1] is setups[0] and setups[2] is setups[0]
+    assert parse_curve_setup(CURVE_TEXT) is setups[0]
+
+
+def test_a_different_alphabet_line_gives_a_different_setup(e37, tmp_path, monkeypatch, capsys):
+    reversed_text = _mutate(CURVE_TEXT, vectors.ALPHABET, vectors.ALPHABET[::-1])
+    assert parse_curve_setup(CURVE_TEXT) != parse_curve_setup(reversed_text)
+    assert parse_curve_setup(reversed_text).alphabet == vectors.ALPHABET[::-1]
+    # The recipient's general key is the only file on the reversed alphabet.
+    private_text, public_text, specific_text = (_rendered(kind, e37)[0] for kind in _KEY_KINDS)
+    public_text = _mutate(public_text, vectors.ALPHABET, vectors.ALPHABET[::-1])
+    for name, text in (("bob.priv", private_text), ("alice.pub", public_text),
+                       ("alice_for_bob.spec", specific_text)):
+        (tmp_path / name).write_bytes(text.encode("utf-8"))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["encrypt", "--private", "bob.priv", "--peer-public", "alice.pub",
+                     "--peer-specific", "alice_for_bob.spec", "--message", "a",
+                     "--gammas", "3"]) == 2
+    assert capsys.readouterr() == ("", "error: key files disagree on the curve setup\n")
+
+
+@pytest.mark.parametrize("kind, length",
+                         [("private", 17), ("public-general", 14), ("public-specific", 14)])
+def test_body_errors_after_a_shared_setup_cite_their_own_line(e37, kind, length):
+    text, parse = _rendered(kind, e37)
+    lines = text.splitlines(keepends=True)
+    for k in range(11, length + 1):
+        parse(text)
+        bad = "".join(lines[:k - 1] + ["junk = 1\n"] + lines[k:])
+        with pytest.raises(KeyFileError, match=f"^line {k}: "):
+            parse(bad)
+
+
+def test_a_setup_that_differs_after_a_good_parse_is_checked_again(e37):
+    text, parse = _rendered("private", e37)
+    parse(text)
+    bad = _mutate(text, "base.y = 4\n", "base.y = 5\n")
+    for _ in range(2):
+        with pytest.raises(KeyFileError, match="^line 7: point base = \\(9,5\\) is not on the curve"):
+            parse(bad)
+
+
+@pytest.mark.parametrize("kind", ["curve", "private", "public-general", "public-specific"])
+def test_a_file_cut_inside_its_setup_names_the_missing_entry(e37, kind):
+    text, parse = _rendered(kind, e37)
+    lines = text.splitlines(keepends=True)
+    keys = ["p", "a", "b", "base.x", "base.y", "table.x", "table.y", "alphabet"]
+    for k, key in enumerate(keys, start=3):
+        parse(text)
+        with pytest.raises(KeyFileError, match=f"^line {k}: missing entry {key!r}$"):
+            parse("".join(lines[:k - 1]))
+
+
+def test_threads_parsing_two_setups_each_get_their_own(e37, e1009):
+    # The setup cache keeps one entry, and threads parsing different setups
+    # keep replacing it; each must still get the setup of its own text.
+    mid_base = e1009.point(*vectors.MID_BASE)
+    mid = CurveSetup(e1009, mid_base, mid_base, "xyz")
+    expected = {CURVE_TEXT: _setup(e37), render_curve_setup(mid): mid}
+    texts = list(expected)
+    start = threading.Barrier(8)
+    errors = []
+
+    def worker(index):
+        try:
+            start.wait(timeout=60)
+            for i in range(300):
+                text = texts[(index + i) % 2]
+                assert parse_curve_setup(text) == expected[text]
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(index,)) for index in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
