@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Sequence
 
@@ -10,6 +11,14 @@ from .curve import Curve, Point, _ceil_sqrt, _Multiples
 # 43 symbols: '*', the lowercase letters, the digits 1..9 then 0, and six
 # marks.  Sized to cover every point of a 43-point curve, identity included.
 DEFAULT_ALPHABET = "*abcdefghijklmnopqrstuvwxyz1234567890#@!&$%"
+
+
+@functools.lru_cache(maxsize=1)
+def _positions(alphabet: str) -> dict[str, int]:
+    """Each symbol's index in `alphabet`, built once and never changed: a
+    setup's distinct-symbols check and its code table share it.  One entry,
+    as a command works on one alphabet."""
+    return {symbol: i for i, symbol in enumerate(alphabet)}
 
 
 class AlphabetTooLargeError(ValueError):
@@ -63,7 +72,7 @@ class CodeTable:
         table = object.__new__(cls)
         table.curve = curve
         table._alphabet = alphabet
-        table._index_of_symbol = {symbol: i for i, symbol in enumerate(alphabet)}
+        table._index_of_symbol = _positions(alphabet)
         table._lock = threading.Lock()
         table._walk = _Multiples(generator, 0)
         size = len(alphabet)

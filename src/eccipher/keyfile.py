@@ -11,8 +11,8 @@ point, code-table point, alphabet) so any file is self-describing and any
 two files can be checked for agreement.  The setup is always lines 3-10,
 and files carrying equal setup lines share one parsed `CurveSetup`, so the
 files of one command share one curve, its order caches and one alphabet
-check.  `_BODY` lists each kind's entries after the setup; it is the one
-description of a kind, which both the writer and the reader follow.
+check, whose symbol index the code table reuses.  `_BODY` lists each
+kind's entries after the setup; the writer and the reader both follow it.
 Points are written as `name.x` / `name.y` line pairs, or `name = inf` for
 the identity.  Integers are plain decimals without leading zeros.  Files
 are canonical: fixed key order, one `key = value` per line, single spaces,
@@ -33,7 +33,7 @@ import re
 
 from ._messages import brief
 from ._record import Record
-from .codec import CodeTable
+from .codec import CodeTable, _positions
 from .curve import Curve, CurveTooLargeError, Point, PointNotOnCurveError, SingularCurveError
 from .field import Prime
 from .keys import GeneralPublicKey, PrivateKey, SpecificPublicKey, keypair_from_secret
@@ -70,7 +70,7 @@ class CurveSetup(Record):
             raise ValueError("setup points must lie on the setup curve")
         if base.is_infinity or table_point.is_infinity:
             raise ValueError("setup points must not be infinity")
-        if len(set(alphabet)) != len(alphabet) or not alphabet:
+        if len(_positions(alphabet)) != len(alphabet) or not alphabet:
             raise ValueError("alphabet must be non-empty with distinct symbols")
 
     def code_table(self) -> CodeTable:

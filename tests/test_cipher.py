@@ -10,10 +10,12 @@ from eccipher import (
     Curve,
     DecryptionContext,
     EncryptionContext,
+    GeneralPublicKey,
     InvalidCiphertextError,
     MalformedCiphertextError,
     MessageTooLongError,
     Point,
+    SpecificPublicKey,
     UnknownSymbolError,
     decrypt_message,
     decrypt_point,
@@ -172,9 +174,36 @@ def test_cross_curve_ciphertext_rejected(alice_from_bob):
 def test_context_rejects_mixed_curves(e37, e37_table, demo_keys):
     other = Curve(5, 1, 1)
     other_table = CodeTable.from_generator(other, other.point(0, 1), "*abcdefgh")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^code table belongs to a different curve$"):
         EncryptionContext(demo_keys.bob_private, demo_keys.alice_public,
                           demo_keys.alice_specific, other_table)
+    # (0,3) lies on both E_37(2,9) and E_37(3,9), so only the curve differs.
+    twin = Curve(37, 3, 9).point(0, 3)
+    alice, bob = demo_keys.alice_public, demo_keys.bob_public
+    mixed = "^all context points must share one curve$"
+    cases = [
+        (EncryptionContext, (demo_keys.bob_private, GeneralPublicKey(twin, alice.k2),
+                             demo_keys.alice_specific, e37_table), mixed),
+        (EncryptionContext, (demo_keys.bob_private, GeneralPublicKey(alice.k1, twin),
+                             demo_keys.alice_specific, e37_table), mixed),
+        (EncryptionContext, (demo_keys.bob_private, alice, SpecificPublicKey(twin),
+                             e37_table), mixed),
+        (DecryptionContext, (demo_keys.alice_private, twin, demo_keys.bob_specific,
+                             e37_table), mixed),
+        (DecryptionContext, (demo_keys.alice_private, bob.k1, SpecificPublicKey(twin),
+                             e37_table), mixed),
+        (DecryptionContext, (demo_keys.alice_private, bob.k1, demo_keys.bob_specific,
+                             other_table), "^code table belongs to a different curve$"),
+    ]
+    for context, args, message in cases:
+        with pytest.raises(ValueError, match=message):
+            context(*args)
+
+
+def test_message_point_on_another_curve_rejected(bob_to_alice):
+    twin = Curve(37, 3, 9).point(0, 3)
+    with pytest.raises(ValueError, match="^message point belongs to a different curve$"):
+        encrypt_point(bob_to_alice, twin, 8)
 
 
 # -------------------------------------------------------- masking identity

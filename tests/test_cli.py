@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import vectors
-from eccipher import cli, keyfile
+from eccipher import cli, codec, keyfile
 
 CURVE_ARGS = ["--p", "37", "--a", "2", "--b", "9", "--base", "9,4", "--table-base", "5,25"]
 
@@ -784,6 +784,40 @@ def test_encrypt_parses_the_setup_of_its_three_files_once(tmp_path, monkeypatch,
     assert capsys.readouterr().err == ""
     assert len(built) == 1
     assert [(pt.x, pt.y) for pt in searches] == [vectors.BASE]
+
+
+def test_a_wide_command_indexes_its_alphabet_once(tmp_path, monkeypatch, capsys):
+    # On E_16381(2,9), whose 16,473 points all get a symbol, the setup's
+    # distinct-symbols check and the code table share one index of the
+    # alphabet, so encrypt and decrypt each make one pass over it.  Both
+    # caches are cleared so the ceremony's parses do not count.
+    monkeypatch.chdir(tmp_path)
+    alphabet = "".join(chr(0x4E00 + i) for i in range(16473))
+    message = "".join(alphabet[i] for i in (0, 1, 7, 4096, 16472, 16472, 9999, 3))
+    cipher = "".join(alphabet[i] for i in (7735, 4964, 9939, 6580, 3381, 8881, 12979, 3246,
+                                           15692, 1563, 5079, 6425, 2953, 12311, 2180, 8707))
+    assert cli.main(["curve", "init", "--p", "16381", "--a", "2", "--b", "9",
+                     "--base", "2,9880", "--alphabet", alphabet, "--out", "wide.ecff"]) == 0
+    for name, seed in (("alice", "1"), ("bob", "2")):
+        assert cli.main(["keygen", "--curve", "wide.ecff", "--seed", seed,
+                         "--out-private", f"{name}.priv", "--out-public", f"{name}.pub"]) == 0
+    for own, peer in (("alice", "bob"), ("bob", "alice")):
+        assert cli.main(["derive-specific", "--private", f"{own}.priv",
+                         "--peer-public", f"{peer}.pub", "--out", f"{own}_for_{peer}.spec"]) == 0
+    capsys.readouterr()
+    commands = [
+        (["encrypt", "--private", "bob.priv", "--peer-public", "alice.pub",
+          "--peer-specific", "alice_for_bob.spec", "--message", message, "--seed", "4"], cipher),
+        (["decrypt", "--private", "alice.priv", "--peer-public", "bob.pub",
+          "--peer-specific", "bob_for_alice.spec", "--cipher", cipher], message),
+    ]
+    for args, printed in commands:
+        keyfile._setup_of.cache_clear()
+        codec._positions.cache_clear()
+        assert cli.main(args) == 0
+        assert capsys.readouterr() == (printed + "\n", "")
+        info = codec._positions.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 # ------------------------------------------------------------------ start-up

@@ -15,6 +15,7 @@ from eccipher import (
     AlphabetTooLargeError,
     CodeTable,
     Curve,
+    CurveSetup,
     CurveTooLargeError,
     DEFAULT_ALPHABET,
     UnknownPointError,
@@ -292,3 +293,38 @@ def test_threads_sharing_a_table_see_one_growing_prefix():
     assert errors == []
     largest = math.isqrt(max(batches) * 530 - 1) + 1
     assert [len(table._walk.points) for table in tables] == [largest] * rounds
+
+
+def test_threads_indexing_two_alphabets_each_get_their_own():
+    # The alphabet index keeps one entry, and threads building setups and
+    # tables on two alphabets keep replacing it; each table must still map
+    # its own alphabet and refuse the other's symbols.
+    base, generator = _CURVE.point(*vectors.BASE), _CURVE.point(*vectors.TABLE_POINT)
+    alphabets = [DEFAULT_ALPHABET, "".join(chr(0x4E00 + i) for i in range(40))]
+    start = threading.Barrier(8)
+    errors = []
+
+    def worker(index):
+        try:
+            start.wait(timeout=60)
+            for i in range(200):
+                own, other = alphabets[(index + i) % 2], alphabets[(index + i + 1) % 2]
+                table = CurveSetup(_CURVE, base, generator, own).code_table()
+                assert table.decode_message(table.encode_message(own)) == own
+                with pytest.raises(UnknownSymbolError):
+                    table.encode_symbol(other[1])
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(index,)) for index in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []

@@ -21,7 +21,13 @@ def test_prime_accepts_valid_moduli():
 
 
 def test_prime_rejects_composites():
-    for n in (4, 9, 15, 1 << 20, 561):  # 561 is a Carmichael number
+    # 561 is a Carmichael number.  The rest have no factor <= 37, so only
+    # the Miller-Rabin rounds can refuse them: 41 * 1000003, then strong
+    # pseudoprimes to the first 4, 5, 6, 8 and 11 prime bases (the last is
+    # 62 bits wide, so Prime refuses it for its width first).
+    for n in (4, 9, 15, 1 << 20, 561, 41 * 1000003, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051):
+        assert not is_prime(n), n
         with pytest.raises(ValueError):
             Prime(n)
 
@@ -37,7 +43,7 @@ def test_prime_rejects_oversized_modulus():
         Prime((1 << 62) + 135)  # prime, but beyond the width bound
 
 
-def test_is_prime_matches_trial_division_below_1000():
+def test_is_prime_matches_trial_division_below_5000():
     def trial(n):
         if n < 2:
             return False
@@ -48,7 +54,7 @@ def test_is_prime_matches_trial_division_below_1000():
             d += 1
         return True
 
-    for n in range(1000):
+    for n in range(5000):
         assert is_prime(n) == trial(n), n
 
 

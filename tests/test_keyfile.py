@@ -1,6 +1,7 @@
 """The ecff-v1 canonical text format: rendering, parsing, validation."""
 
 import random
+import re
 import sys
 import threading
 
@@ -243,6 +244,42 @@ def test_base_must_not_be_infinity():
     bad = "".join(lines[:5]) + "base = inf\n" + "".join(lines[7:])
     with pytest.raises(KeyFileError, match="inf"):
         parse_curve_setup(bad)
+
+
+@pytest.mark.parametrize("kind, name, line", [
+    ("curve", "base", 6), ("private", "point", 12), ("private", "pub1", 14),
+    ("public-general", "pub1", 11), ("public-general", "pub2", 13),
+    ("public-specific", "point", 13),
+])
+def test_a_point_entry_is_coordinates_or_inf(e37, kind, name, line):
+    text, parse = _rendered(kind, e37)
+    lines = text.splitlines(keepends=True)
+    assert lines[line - 1].startswith(f"{name}.x = ")
+    bad = "".join(lines[:line - 1] + [f"{name} = 5\n"] + lines[line + 1:])
+    message = f"line {line}: {name} must be {name}.x/.y lines or 'inf'"
+    with pytest.raises(KeyFileError, match=f"^{re.escape(message)}$"):
+        parse(bad)
+
+
+def test_curve_setup_checks_run_in_order(e37):
+    base, table = e37.point(*vectors.BASE), e37.point(*vectors.TABLE_POINT)
+    # (0,3) lies on both E_37(2,9) and E_37(3,9), so only the curve differs.
+    twin = Curve(37, 3, 9).point(0, 3)
+    foreign = "setup points must lie on the setup curve"
+    infinity = "setup points must not be infinity"
+    alphabet = "alphabet must be non-empty with distinct symbols"
+    checks = [
+        ((e37, twin, table, vectors.ALPHABET), foreign),
+        ((e37, base, twin, vectors.ALPHABET), foreign),
+        ((e37, base, twin.curve.infinity(), ""), foreign),
+        ((e37, e37.infinity(), table, ""), infinity),
+        ((e37, base, e37.infinity(), "aa"), infinity),
+        ((e37, base, table, "*aa"), alphabet),
+        ((e37, base, table, ""), alphabet),
+    ]
+    for args, message in checks:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CurveSetup(*args)
 
 
 def test_duplicate_alphabet_symbols():

@@ -121,6 +121,19 @@ def test_keygen_rejects_foreign_base(e37):
         keygen(e37, other.point(0, 1), random.Random(1))
 
 
+def test_keygen_rejects_an_infinity_base(e37):
+    # Order 1 leaves no scalar in [1, n-1] to draw.
+    with pytest.raises(ValueError, match="^base point order must be at least 2$"):
+        keygen(e37, e37.infinity(), random.Random(1))
+
+
+def test_derive_specific_rejects_a_peer_key_on_another_curve(demo_keys):
+    # (0,3) lies on both E_37(2,9) and E_37(3,9), so only the curve differs.
+    twin = Curve(37, 3, 9).point(0, 3)
+    with pytest.raises(ValueError, match="^peer key belongs to a different curve$"):
+        derive_specific(demo_keys.alice_private, twin)
+
+
 def test_scalar_bounds_enforced(e37, e37_base):
     secret = e37.point(10, 20)
     for bad in (0, 43, -5, 1000):
