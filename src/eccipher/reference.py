@@ -8,13 +8,14 @@ None of this is, or pretends to be, secure.
 Every general public key leaks alpha*C = K1 - K2 on a base C that many
 keys share, so breaking many keys means many logs to one base.  The
 baby-step giant-step solver therefore keeps the baby steps of the last
-generator it was asked about: a run of breaks on one base builds them once
-and pays only the giant steps for each key.
+generator it was asked about, and each further call on that generator
+grows them, up to 2**12: the first key on a base costs about 2*sqrt(n)
+group additions, and each further key about n/2**13 once the table is full.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from math import isqrt
 
 from .curve import Point, _ceil_sqrt, _Multiples
 
@@ -46,14 +47,47 @@ def ecdlp_bsgs(generator: Point, target: Point, n: int) -> int | None:
     """Baby-step giant-step discrete log in O(sqrt(n)) group operations.
 
     Same contract as ecdlp_exhaustive: the two must agree everywhere.  The
-    baby steps of the last (generator, m) are kept, m = ceil(sqrt(n)), so
-    further calls on an equal generator and m take only the giant steps.
+    least k lies below ord(generator) <= #E <= p + 1 + floor(2*sqrt(p))
+    (Hasse), so n is first clamped to that bound, which changes no answer.
+
+    The baby steps of the last generator are kept.  A call on a new
+    generator builds m = ceil(sqrt(n)) of them and takes up to m - 1 giant
+    steps: about 2*sqrt(n) group additions, as for a one-off solve.  A
+    call on an equal generator extends a kept table shorter than m to m.
+    Otherwise it takes its giant steps with the kept table, then spends
+    what they left of m additions on more baby steps, up to
+    T = min(2**12, n).  So such a call makes at most m additions, and once
+    the table holds T steps each further key costs about n/(2*T).
+    A longer table is a copy published by assignment, so threads still
+    holding the old one see all of it.
     """
+    global _kept
     if n <= 0:
         return None
-    return _kept(generator, _ceil_sqrt(n)).log(target, n)
+    p = generator.curve.p
+    n = min(n, p + 1 + isqrt(4 * p))
+    m = _ceil_sqrt(n)
+    kept = _kept
+    if kept is None or kept.generator != generator:
+        kept = _kept = _Multiples(generator, m)
+    elif len(kept.points) < m:
+        kept = _kept = kept.extended(m)
+    else:
+        k = kept.log(target, n)
+        size = len(kept.points)
+        giant_steps = (n - 1 if k is None else k) // size
+        grown = min(_TABLE_CAP, n, size + m - giant_steps)
+        if grown > size:
+            _kept = kept.extended(grown)
+        return k
+    return kept.log(target, n)
 
 
-# Keyed by point value, so an equal generator on an equal but separate
-# curve finds the kept entry; each entry is built whole and never changed.
-_kept = lru_cache(maxsize=1)(_Multiples)
+# The most baby steps a kept table grows to: about 0.75 MB of points and
+# index on a 2**20 curve.
+_TABLE_CAP = 1 << 12
+
+# The last generator's baby steps, a curve._Multiples keyed by point value,
+# so an equal generator on an equal but separate curve finds it; each value
+# is built whole and never changed, and a longer one replaces it.
+_kept: _Multiples | None = None

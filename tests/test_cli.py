@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import vectors
-from eccipher import cli, codec, keyfile
+from eccipher import (
+    DecryptionContext, cli, codec, decrypt_message, keyfile, keypair_from_secret, reference,
+)
 
 CURVE_ARGS = ["--p", "37", "--a", "2", "--b", "9", "--base", "9,4", "--table-base", "5,25"]
 
@@ -818,6 +820,61 @@ def test_a_wide_command_indexes_its_alphabet_once(tmp_path, monkeypatch, capsys)
         assert capsys.readouterr() == (printed + "\n", "")
         info = codec._positions.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+
+
+# --------------------------------------------------------------- key break
+
+def test_the_public_files_alone_break_both_keys_and_the_message(tmp_path, monkeypatch, capsys):
+    # A general public key leaks alpha*C = K1 - K2, so one discrete log on
+    # the shared base C gives a party's scalar, and its secret point is
+    # alpha^-1 * K2, as the base order 43 is prime.  The second break
+    # reuses the baby steps the first one built on C.
+    monkeypatch.chdir(tmp_path)
+    message = "meet#at#9!"
+    assert cli.main(["curve", "init", *CURVE_ARGS, "--out", "demo.ecff"]) == 0
+    for name, seed in (("alice", "1"), ("bob", "2")):
+        assert cli.main(["keygen", "--curve", "demo.ecff", "--seed", seed,
+                         "--out-private", f"{name}.priv", "--out-public", f"{name}.pub"]) == 0
+    for own, peer in (("alice", "bob"), ("bob", "alice")):
+        assert cli.main(["derive-specific", "--private", f"{own}.priv",
+                         "--peer-public", f"{peer}.pub", "--out", f"{own}_for_{peer}.spec"]) == 0
+    capsys.readouterr()
+    assert cli.main(["encrypt", "--private", "bob.priv", "--peer-public", "alice.pub",
+                     "--peer-specific", "alice_for_bob.spec", "--message", message,
+                     "--seed", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.endswith("\n")
+    ciphertext = out[:-1]
+
+    def text(name):
+        return Path(name).read_bytes().decode("utf-8")
+
+    setup, _ = keyfile.parse_general_public_key(text("alice.pub"))
+    base, n = setup.base, setup.curve.order_of(setup.base)
+    assert n == 43
+    reference.ecdlp_bsgs(setup.table_point, base, n)   # another generator takes the kept entry
+    built = []
+    build = reference._Multiples
+
+    def counting_build(generator, m):
+        built.append(generator)
+        return build(generator, m)
+
+    monkeypatch.setattr(reference, "_Multiples", counting_build)
+    recovered = {}
+    for name in ("alice", "bob"):
+        _, public = keyfile.parse_general_public_key(text(f"{name}.pub"))
+        alpha = reference.ecdlp_bsgs(base, public.k1 - public.k2, n)
+        private, rebuilt = keypair_from_secret(setup.curve, base, alpha,
+                                               pow(alpha, -1, n) * public.k2)
+        assert rebuilt == public
+        assert (setup, private, public) == keyfile.parse_private_key(text(f"{name}.priv"))
+        recovered[name] = private
+    assert built == [base]
+    _, bob = keyfile.parse_general_public_key(text("bob.pub"))
+    _, bob_for_alice = keyfile.parse_specific_public_key(text("bob_for_alice.spec"))
+    context = DecryptionContext(recovered["alice"], bob.k1, bob_for_alice, setup.code_table())
+    assert decrypt_message(context, ciphertext) == message
 
 
 # ------------------------------------------------------------------ start-up

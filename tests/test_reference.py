@@ -7,7 +7,7 @@ import threading
 import pytest
 
 import vectors
-from eccipher import Curve, ecdlp_bsgs, ecdlp_exhaustive, slow_scalar_mul
+from eccipher import Curve, ecdlp_bsgs, ecdlp_exhaustive, reference, slow_scalar_mul
 from eccipher.curve import _Multiples
 
 
@@ -188,6 +188,65 @@ def test_a_second_solve_on_one_base_takes_only_giant_steps(e1009, additions):
             assert len(additions) <= m
 
 
+def test_a_bound_past_the_group_builds_no_more_baby_steps_than_hasse_allows(e37, e1009,
+                                                                           additions):
+    # The least k lies below ord(G) <= p + 1 + floor(2*sqrt(p)), 50 on E_37
+    # and 1073 on E_1009, so a bound far past it walks about the square
+    # root of that many baby steps, not of the bound.
+    generator = e37.point(5, 25)
+    target = 5 * generator
+    base = e1009.point(*vectors.MID_BASE)
+    outside = _outside_span(e1009, base)
+    assert ecdlp_exhaustive(generator, target, 10**12) == 5
+    additions.clear()
+    assert ecdlp_bsgs(generator, target, 10**12) == 5
+    assert len(additions) < 100
+    additions.clear()
+    assert ecdlp_bsgs(base, outside, 10**30) is None
+    assert len(additions) < 100
+
+
+def test_repeat_solves_grow_the_kept_table_to_its_cap(additions):
+    # E_16381(2,9) has 16,473 points and (2,9880) generates them all, so
+    # m = ceil(sqrt(n)) = 129 and the cap is T = min(2**12, n) = 4096.
+    curve = Curve(16381, 2, 9)
+    generator = curve.point(2, 9880)
+    n, m, cap = 16473, 129, 4096
+    assert curve.order_of(generator) == n
+    other = 2 * generator
+    other_target = 5 * other
+    targets = [(k, k * generator) for k in (7919 * j % n for j in range(80))]
+    ecdlp_bsgs(other, other, n)   # another generator takes the kept entry
+    additions.clear()
+    assert ecdlp_bsgs(generator, targets[0][1], n) == targets[0][0]
+    assert len(reference._kept.points) == m
+    assert m <= len(additions) < 2 * m
+    sizes = [m]
+    for k, target in targets[1:]:
+        additions.clear()
+        assert ecdlp_bsgs(generator, target, n) == k
+        size = len(reference._kept.points)
+        assert len(additions) <= m
+        if size < cap:
+            # Below the cap, the giant steps and the new baby steps spend
+            # exactly the budget of m additions.
+            assert len(additions) == m
+        sizes.append(size)
+    assert sizes == sorted(sizes)
+    assert sizes[-1] == cap
+    assert sizes.index(cap) < len(sizes) - 10
+    for k in (0, 1, 4095, 4096, n // 2, n - 1):
+        target = k * generator
+        additions.clear()
+        assert ecdlp_bsgs(generator, target, n) == k
+        assert len(additions) <= -(-n // cap) - 1 == 4
+        assert len(reference._kept.points) == cap
+    additions.clear()
+    assert ecdlp_bsgs(other, other_target, n) == 5
+    assert len(reference._kept.points) == m
+    assert len(additions) >= m   # the baby steps were built again
+
+
 def test_threads_racing_on_different_generators_get_the_oracles_answers(e1009):
     # Each thread solves on its own generator and bound, so the kept entry
     # keeps changing hands; every answer must still be the oracle's.
@@ -221,3 +280,45 @@ def test_threads_racing_on_different_generators_get_the_oracles_answers(e1009):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
+
+
+def test_threads_sharing_a_generator_while_its_table_grows_get_the_oracles_answers(e1009):
+    # Every thread solves on one generator, with its own targets and bound,
+    # so the threads grow the one kept table and replace it under each
+    # other; every answer must still be the oracle's.  Each round starts
+    # the table again from ceil(sqrt(n)) baby steps.
+    points = e1009.enumerate_points()[1:]
+    generator = points[1]
+    jobs = []
+    for index, n in ((3, 1060), (8, 530), (21, 1060), (55, 265), (144, 1060)):
+        targets = [k * generator for k in (0, index, n // 3 + index, n - 1, n + 5)]
+        targets.append(points[-index])
+        jobs.append([(t, n, ecdlp_exhaustive(generator, t, n)) for t in targets])
+    errors, sizes = [], []
+
+    def worker(start, job):
+        try:
+            start.wait(timeout=60)
+            for _ in range(4):
+                for target, n, expected in job:
+                    assert ecdlp_bsgs(generator, target, n) == expected
+                    sizes.append(len(reference._kept.points))
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            ecdlp_bsgs(points[0], points[0], 1060)   # another generator takes the kept entry
+            start = threading.Barrier(len(jobs))
+            threads = [threading.Thread(target=worker, args=(start, job)) for job in jobs]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert max(sizes) > 33   # the table grew past a fresh start's ceil(sqrt(1060))
