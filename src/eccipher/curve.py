@@ -255,8 +255,8 @@ class Point:
         return self.curve == other.curve and self.x == other.x and self.y == other.y
 
     def __hash__(self) -> int:
-        coords = None if self.is_infinity else (self.x, self.y)
-        return hash((self.curve.p, coords))
+        # Equal points have equal coordinates; __eq__ also compares curves.
+        return hash((self.x, self.y))
 
     def __str__(self) -> str:
         if self.is_infinity:
@@ -272,13 +272,40 @@ def _ceil_sqrt(n: int) -> int:
     return isqrt(n - 1) + 1 if n else 0
 
 
+def _chord(p: int, a: int, first: tuple[int, int] | None,
+           second: tuple[int, int] | None) -> tuple[int, int] | None:
+    """first + second by the chord-and-tangent law of `Point.__add__`, on
+    (x, y) coordinate pairs mod p with None for infinity: the baby-step
+    giant-step core's one group step, which builds no `Point`."""
+    if first is None:
+        return second
+    if second is None:
+        return first
+    x1, y1 = first
+    x2, y2 = second
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        slope = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (slope * slope - x1 - x2) % p
+    return x3, (slope * (x1 - x3) - y1) % p
+
+
+def _coordinates(point: Point) -> tuple[int, int] | None:
+    return None if point.x is None else (point.x, point.y)
+
+
 class _Multiples:
     """The first m multiples of a generator G, for baby-step giant-step.
 
     `points[j]` is j*G, `index` maps each of those points to its least j,
     and `stride` is m*G.  A value is built whole and never changed;
     `extended` builds a longer one from copies, so threads that share a
-    value and publish a longer one by assignment each see all of either.
+    value and publish a longer one each see all of either.  Both walks
+    step on coordinate pairs with `_chord`; a `Point` is built only for
+    each baby step kept and each giant step looked up.
     """
 
     __slots__ = ("generator", "points", "index", "stride")
@@ -297,12 +324,21 @@ class _Multiples:
         return longer
 
     def _walk_to(self, m: int) -> None:
-        points, index, current = self.points, self.index, self.stride
+        points, index = self.points, self.index
+        curve = self.generator.curve
+        p, a = curve.p, curve.a
+        step = _coordinates(self.generator)
+        current = _coordinates(self.stride)
         for j in range(len(points), m):
-            points.append(current)
-            index.setdefault(current, j)
-            current = current + self.generator
-        self.stride = current
+            # Point._unchecked in line, without its call, and (None, None)
+            # for infinity: these two loops are a solve's whole cost.
+            point = object.__new__(Point)
+            point.curve = curve
+            point.x, point.y = current or (None, None)
+            points.append(point)
+            index.setdefault(point, j)
+            current = _chord(p, a, current, step)
+        self.stride = Point(curve) if current is None else Point._unchecked(curve, *current)
 
     def log(self, target: Point, n: int) -> int | None:
         """The least k < n with k*G = target, or None; an empty value finds none.
@@ -311,14 +347,20 @@ class _Multiples:
         target - t*stride for 0 < t < ceil(n/m); the first hit t*m + j is
         the least k, and a first hit at or past n means there is none.
         """
-        k = self.index.get(target)
+        index = self.index
+        k = index.get(target)
         m = len(self.points)
         curve = self.generator.curve
         if k is None and m and (target.curve is curve or target.curve == curve):
-            step = -self.stride
+            p, a = curve.p, curve.a
+            step = _coordinates(-self.stride)
+            current = _coordinates(target)
             for base in range(m, n, m):
-                target = target + step
-                j = self.index.get(target)
+                current = _chord(p, a, current, step)
+                probe = object.__new__(Point)
+                probe.curve = curve
+                probe.x, probe.y = current or (None, None)
+                j = index.get(probe)
                 if j is not None:
                     k = base + j
                     break

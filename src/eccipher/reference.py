@@ -15,6 +15,7 @@ group additions, and each further key about n/2**13 once the table is full.
 
 from __future__ import annotations
 
+import threading
 from math import isqrt
 
 from .curve import Point, _ceil_sqrt, _Multiples
@@ -58,10 +59,9 @@ def ecdlp_bsgs(generator: Point, target: Point, n: int) -> int | None:
     what they left of m additions on more baby steps, up to
     T = min(2**12, n).  So such a call makes at most m additions, and once
     the table holds T steps each further key costs about n/(2*T).
-    A longer table is a copy published by assignment, so threads still
-    holding the old one see all of it.
+    A longer table is a copy, so threads still holding the old one see
+    all of it, and `_publish` keeps the longest a thread has built.
     """
-    global _kept
     if n <= 0:
         return None
     p = generator.curve.p
@@ -69,18 +69,31 @@ def ecdlp_bsgs(generator: Point, target: Point, n: int) -> int | None:
     m = _ceil_sqrt(n)
     kept = _kept
     if kept is None or kept.generator != generator:
-        kept = _kept = _Multiples(generator, m)
+        kept = _publish(_Multiples(generator, m))
     elif len(kept.points) < m:
-        kept = _kept = kept.extended(m)
+        kept = _publish(kept.extended(m))
     else:
         k = kept.log(target, n)
         size = len(kept.points)
         giant_steps = (n - 1 if k is None else k) // size
         grown = min(_TABLE_CAP, n, size + m - giant_steps)
         if grown > size:
-            _kept = kept.extended(grown)
+            _publish(kept.extended(grown))
         return k
     return kept.log(target, n)
+
+
+def _publish(table: _Multiples) -> _Multiples:
+    """Keep `table` unless the kept one has an equal generator and is at
+    least as long, so a thread that grew an older table cannot replace a
+    longer one another thread published meanwhile; returns `table`."""
+    global _kept
+    with _publish_lock:
+        kept = _kept
+        if (kept is None or kept.generator != table.generator
+                or len(kept.points) < len(table.points)):
+            _kept = table
+    return table
 
 
 # The most baby steps a kept table grows to: about 0.75 MB of points and
@@ -89,5 +102,6 @@ _TABLE_CAP = 1 << 12
 
 # The last generator's baby steps, a curve._Multiples keyed by point value,
 # so an equal generator on an equal but separate curve finds it; each value
-# is built whole and never changed, and a longer one replaces it.
+# is built whole and never changed, and `_publish` replaces it.
 _kept: _Multiples | None = None
+_publish_lock = threading.Lock()

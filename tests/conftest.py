@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import eccipher as ec
+import eccipher.curve as curve_module
 import vectors
 
 
@@ -140,13 +141,22 @@ def searches(monkeypatch):
 
 @pytest.fixture()
 def additions(monkeypatch):
-    """Every Point.__add__ call made while the test runs, as (P, Q)."""
+    """Every group addition made while the test runs: each Point.__add__
+    call as (P, Q), and each step of the baby-step giant-step core, which
+    adds coordinate pairs with curve._chord, as its two (x, y) pairs or
+    None for infinity."""
     made = []
-    original = ec.Point.__add__
+    original_add = ec.Point.__add__
+    original_chord = curve_module._chord
 
     def counting_add(self, other):
         made.append((self, other))
-        return original(self, other)
+        return original_add(self, other)
+
+    def counting_chord(p, a, first, second):
+        made.append((first, second))
+        return original_chord(p, a, first, second)
 
     monkeypatch.setattr(ec.Point, "__add__", counting_add)
+    monkeypatch.setattr(curve_module, "_chord", counting_chord)
     return made

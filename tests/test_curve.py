@@ -17,6 +17,7 @@ from eccipher import (
     PointNotOnCurveError,
     SingularCurveError,
 )
+from eccipher.curve import _chord
 
 
 # ------------------------------------------------------------ construction
@@ -125,6 +126,35 @@ def test_sum_stays_on_curve_for_sampled_pairs(e37):
         for q in pts[::7]:
             total = p + q
             assert total.is_infinity or e37.is_on_curve(total.x, total.y)
+
+
+def _pair(point):
+    return None if point.is_infinity else (point.x, point.y)
+
+
+def test_the_core_step_adds_like_the_group_law_on_every_demo_pair(e37):
+    # Every ordered pair of E_37(2,9)'s 43 points, infinity included, so
+    # P + O, O + P, P + P and P + (-P) are all among them.
+    points = e37.enumerate_points()
+    assert len(points) == 43
+    for first in points:
+        for second in points:
+            step = _chord(e37.p, e37.a, _pair(first), _pair(second))
+            assert step == _pair(first + second), (first, second)
+
+
+def test_the_core_step_adds_like_the_group_law_on_sampled_pairs(e1009):
+    points = e1009.enumerate_points()
+    halves = [point for point in points[1:] if point.y == 0]
+    assert halves and all((half + half).is_infinity for half in halves)
+    rng = random.Random(20)
+    sampled = rng.sample(points, 60) + halves + [points[0]]
+    pairs = [(p, q) for p in sampled for q in (p, -p, points[0], *halves)]
+    pairs += [(p, q) for p, q in zip(points, rng.sample(points, len(points)))]
+    pairs += [(q, p) for p, q in pairs]
+    for first, second in pairs:
+        step = _chord(e1009.p, e1009.a, _pair(first), _pair(second))
+        assert step == _pair(first + second), (first, second)
 
 
 # ---------------------------------------------------- scalar multiplication
@@ -486,6 +516,19 @@ def test_point_equality_and_hash(e37):
     assert e37.point(9, 4) in {e37.point(9, 4)}
     other = Curve(5, 1, 1)
     assert e37.infinity() != other.infinity()
+
+
+def test_points_hash_by_coordinates_and_compare_by_curve(e37):
+    # A point hashes by its coordinates alone, so points of separate but
+    # equal curves find each other in a dict, and equal coordinates on
+    # different curves share a hash but stay different keys.
+    twin = Curve(37, 2, 9)
+    other = Curve(5, 1, 1)
+    assert hash(e37.point(9, 4)) == hash(twin.point(9, 4)) == hash((9, 4))
+    assert {e37.point(9, 4): "demo"}[twin.point(9, 4)] == "demo"
+    assert hash(e37.infinity()) == hash(other.infinity())
+    keys = {e37.infinity(): "demo", other.infinity(): "other", twin.infinity(): "twin"}
+    assert keys == {e37.infinity(): "twin", other.infinity(): "other"}
 
 
 def test_group_law_builds_no_field_elements(e37, field_elements_built):

@@ -171,6 +171,18 @@ def test_the_baby_step_core_answers_like_the_oracle(e37, e31, e1009):
             assert len(start.points) == 1 and start.stride == generator
 
 
+def test_the_core_of_a_generator_of_order_two_alternates_with_infinity(e1009):
+    # y = 0 makes 2*G infinity, so the core's step doubles G to infinity
+    # and every m past the order repeats the two points.
+    two = next(point for point in e1009.enumerate_points()[1:] if point.y == 0)
+    for m in range(1, 7):
+        for core in (_Multiples(two, m), _Multiples(two, 1).extended(m)):
+            assert core.points == [slow_scalar_mul(j, two) for j in range(m)]
+            assert core.stride == slow_scalar_mul(m, two)
+            infinity = e1009.infinity()
+            assert core.index == ({infinity: 0, two: 1} if m > 1 else {infinity: 0})
+
+
 def test_a_second_solve_on_one_base_takes_only_giant_steps(e1009, additions):
     base = e1009.point(*vectors.MID_BASE)
     n = 530
@@ -322,3 +334,46 @@ def test_threads_sharing_a_generator_while_its_table_grows_get_the_oracles_answe
         sys.setswitchinterval(interval)
     assert errors == []
     assert max(sizes) > 33   # the table grew past a fresh start's ceil(sqrt(1060))
+
+
+def test_a_thread_that_grew_an_older_table_keeps_the_longer_one_published_meanwhile(
+        e1009, monkeypatch):
+    # Thread A grows the kept table of 24 baby steps to 28, and is held
+    # after building its copy until this thread has grown the same table to
+    # 48 and published it; A's shorter copy must not replace the longer one.
+    base = e1009.point(*vectors.MID_BASE)
+    n = 530
+    ecdlp_bsgs(2 * base, base, n)   # another generator takes the kept entry
+    assert ecdlp_bsgs(base, 5 * base, n) == 5
+    assert len(reference._kept.points) == 24
+    built, published = threading.Event(), threading.Event()
+    extended = _Multiples.extended
+    errors = []
+
+    def held_extended(self, m):
+        longer = extended(self, m)
+        if threading.current_thread() is held:
+            built.set()
+            if not published.wait(timeout=60):
+                raise TimeoutError("the longer table was never published")
+        return longer
+
+    def worker():
+        try:
+            assert ecdlp_bsgs(base, 500 * base, n) == 500
+        except Exception as exc:
+            errors.append(exc)
+
+    monkeypatch.setattr(_Multiples, "extended", held_extended)
+    held = threading.Thread(target=worker)
+    held.start()
+    try:
+        assert built.wait(timeout=60)
+        assert ecdlp_bsgs(base, base, n) == 1
+        assert len(reference._kept.points) == 48
+    finally:
+        published.set()
+        held.join(timeout=60)
+    assert not held.is_alive()
+    assert errors == []
+    assert len(reference._kept.points) == 48
