@@ -60,7 +60,7 @@ def ecdlp_bsgs(generator: Point, target: Point, n: int) -> int | None:
     T = min(2**12, n).  So such a call makes at most m additions, and once
     the table holds T steps each further key costs about n/(2*T).
     A longer table is a copy, so threads still holding the old one see
-    all of it, and `_publish` keeps the longest a thread has built.
+    all of it, and `_grown` checks and grows the kept table under one lock.
     """
     if n <= 0:
         return None
@@ -69,30 +69,36 @@ def ecdlp_bsgs(generator: Point, target: Point, n: int) -> int | None:
     m = _ceil_sqrt(n)
     kept = _kept
     if kept is None or kept.generator != generator:
-        kept = _publish(_Multiples(generator, m))
+        kept = _grown(_Multiples(generator, 0), m)
     elif len(kept.points) < m:
-        kept = _publish(kept.extended(m))
+        kept = _grown(kept, m)
     else:
         k = kept.log(target, n)
         size = len(kept.points)
         giant_steps = (n - 1 if k is None else k) // size
         grown = min(_TABLE_CAP, n, size + m - giant_steps)
         if grown > size:
-            _publish(kept.extended(grown))
+            _grown(kept, grown)
         return k
     return kept.log(target, n)
 
 
-def _publish(table: _Multiples) -> _Multiples:
-    """Keep `table` unless the kept one has an equal generator and is at
-    least as long, so a thread that grew an older table cannot replace a
-    longer one another thread published meanwhile; returns `table`."""
+def _grown(table: _Multiples, m: int) -> _Multiples:
+    """`table`, or the table kept meanwhile for an equal generator, extended
+    to at least m baby steps and kept.
+
+    As in the code table's walk, the check and the extension run under one
+    lock, so the kept table of a generator only ever grows: a thread that
+    read an older table extends the longer one kept since, or keeps it.
+    """
     global _kept
-    with _publish_lock:
+    with _lock:
         kept = _kept
-        if (kept is None or kept.generator != table.generator
-                or len(kept.points) < len(table.points)):
-            _kept = table
+        if kept is not None and kept.generator == table.generator:
+            table = kept
+        if len(table.points) < m:
+            table = table.extended(m)
+        _kept = table
     return table
 
 
@@ -102,6 +108,6 @@ _TABLE_CAP = 1 << 12
 
 # The last generator's baby steps, a curve._Multiples keyed by point value,
 # so an equal generator on an equal but separate curve finds it; each value
-# is built whole and never changed, and `_publish` replaces it.
+# is built whole and never changed, and `_grown` replaces it.
 _kept: _Multiples | None = None
-_publish_lock = threading.Lock()
+_lock = threading.Lock()

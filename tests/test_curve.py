@@ -132,29 +132,58 @@ def _pair(point):
     return None if point.is_infinity else (point.x, point.y)
 
 
-def test_the_core_step_adds_like_the_group_law_on_every_demo_pair(e37):
-    # Every ordered pair of E_37(2,9)'s 43 points, infinity included, so
-    # P + O, O + P, P + P and P + (-P) are all among them.
-    points = e37.enumerate_points()
-    assert len(points) == 43
-    for first in points:
-        for second in points:
-            step = _chord(e37.p, e37.a, _pair(first), _pair(second))
-            assert step == _pair(first + second), (first, second)
+def test_the_core_step_gives_the_published_table_on_every_demo_pair(e37):
+    # The paper prints i*(5,25) for i = 1..42, and (5,25) generates all 43
+    # points, so i*G + j*G = ((i + j) % 43)*G checks every ordered pair,
+    # O, P + P and P + (-P) among them, against the paper; Point.__add__,
+    # which keeps its own copy of the law, must agree on each.
+    cells = [None, *vectors.AFFINE_POINTS]
+    assert len(cells) == vectors.GROUP_ORDER
+    points = [e37.infinity() if cell is None else e37.point(*cell) for cell in cells]
+    for i, first in enumerate(cells):
+        for j, second in enumerate(cells):
+            total = _chord(e37.p, e37.a, first, second)
+            assert total == cells[(i + j) % vectors.GROUP_ORDER], (first, second)
+            assert total == _pair(points[i] + points[j]), (first, second)
 
 
-def test_the_core_step_adds_like_the_group_law_on_sampled_pairs(e1009):
+def test_the_core_step_keeps_the_group_laws_on_sampled_points(e1009):
+    p, a = e1009.p, e1009.a
     points = e1009.enumerate_points()
     halves = [point for point in points[1:] if point.y == 0]
-    assert halves and all((half + half).is_infinity for half in halves)
+    assert halves
     rng = random.Random(20)
     sampled = rng.sample(points, 60) + halves + [points[0]]
-    pairs = [(p, q) for p in sampled for q in (p, -p, points[0], *halves)]
-    pairs += [(p, q) for p, q in zip(points, rng.sample(points, len(points)))]
-    pairs += [(q, p) for p, q in pairs]
-    for first, second in pairs:
-        step = _chord(e1009.p, e1009.a, _pair(first), _pair(second))
-        assert step == _pair(first + second), (first, second)
+
+    def add(first, second):
+        return _chord(p, a, first, second)
+
+    for point in sampled:
+        first = _pair(point)
+        assert add(first, None) == add(None, first) == first
+        assert add(first, _pair(-point)) is None   # y = 0 doubles to O
+        for other in sampled:
+            second = _pair(other)
+            total = add(first, second)
+            assert total == add(second, first) == _pair(point + other)
+            if total is None:
+                assert other == -point
+                continue
+            x3, y3 = total
+            assert e1009.is_on_curve(x3, y3)
+            if first is None or second is None:
+                continue
+            # -total is the third point on the chord through first and
+            # second, or on the tangent at first when the two are equal.
+            (x1, y1), (x2, y2) = first, second
+            if first == second:
+                assert 2 * y1 * (-y3 - y1) % p == (3 * x1 * x1 + a) * (x3 - x1) % p
+            else:
+                assert (y2 - y1) * (x3 - x1) % p == (-y3 - y1) * (x2 - x1) % p
+    pairs = [_pair(point) for point in points]
+    for _ in range(2000):
+        first, second, third = rng.choices(pairs, k=3)
+        assert add(add(first, second), third) == add(first, add(second, third))
 
 
 # ---------------------------------------------------- scalar multiplication

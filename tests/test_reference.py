@@ -336,27 +336,28 @@ def test_threads_sharing_a_generator_while_its_table_grows_get_the_oracles_answe
     assert max(sizes) > 33   # the table grew past a fresh start's ceil(sqrt(1060))
 
 
-def test_a_thread_that_grew_an_older_table_keeps_the_longer_one_published_meanwhile(
+def test_a_thread_that_read_an_older_table_keeps_the_longer_one_grown_meanwhile(
         e1009, monkeypatch):
-    # Thread A grows the kept table of 24 baby steps to 28, and is held
-    # after building its copy until this thread has grown the same table to
-    # 48 and published it; A's shorter copy must not replace the longer one.
+    # Thread A solves with the kept table of 24 baby steps, which leaves it
+    # 28 to grow to, and is held after its giant steps until this thread
+    # has grown the same table to 48; A must then keep the 48, not replace
+    # them with its own 28.
     base = e1009.point(*vectors.MID_BASE)
     n = 530
     ecdlp_bsgs(2 * base, base, n)   # another generator takes the kept entry
     assert ecdlp_bsgs(base, 5 * base, n) == 5
     assert len(reference._kept.points) == 24
-    built, published = threading.Event(), threading.Event()
-    extended = _Multiples.extended
+    solved, grown = threading.Event(), threading.Event()
+    log = _Multiples.log
     errors = []
 
-    def held_extended(self, m):
-        longer = extended(self, m)
+    def held_log(self, target, bound):
+        k = log(self, target, bound)
         if threading.current_thread() is held:
-            built.set()
-            if not published.wait(timeout=60):
-                raise TimeoutError("the longer table was never published")
-        return longer
+            solved.set()
+            if not grown.wait(timeout=60):
+                raise TimeoutError("the table was never grown")
+        return k
 
     def worker():
         try:
@@ -364,15 +365,15 @@ def test_a_thread_that_grew_an_older_table_keeps_the_longer_one_published_meanwh
         except Exception as exc:
             errors.append(exc)
 
-    monkeypatch.setattr(_Multiples, "extended", held_extended)
+    monkeypatch.setattr(_Multiples, "log", held_log)
     held = threading.Thread(target=worker)
     held.start()
     try:
-        assert built.wait(timeout=60)
+        assert solved.wait(timeout=60)
         assert ecdlp_bsgs(base, base, n) == 1
         assert len(reference._kept.points) == 48
     finally:
-        published.set()
+        grown.set()
         held.join(timeout=60)
     assert not held.is_alive()
     assert errors == []
