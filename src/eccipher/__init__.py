@@ -4,12 +4,14 @@ The pieces, bottom up: validated prime moduli and mod-p square roots, the
 short Weierstrass group law on plain ints, a code table pairing a text
 alphabet with curve points, a three-tier key scheme (private, general
 public, per-peer specific public), a randomized two-point cipher over that
-table, canonical key files, and brute-force reference oracles for auditing
-all of it at desk scale.
+table, canonical key files, brute-force reference oracles for auditing
+all of it at desk scale, and the baby-step giant-step key break that shows
+why such small curves are toys.
 
 Deliberately small and exhaustively checkable; not hardened cryptography.
 """
 
+from .attack import ecdlp_bsgs
 from .cipher import (
     DecryptionContext,
     EncryptionContext,
@@ -45,7 +47,7 @@ from .keys import (
     keygen,
     keypair_from_secret,
 )
-from .reference import ecdlp_bsgs, ecdlp_exhaustive, slow_scalar_mul
+from .reference import ecdlp_exhaustive, slow_scalar_mul
 
 __all__ = [
     "AlphabetTooLargeError",

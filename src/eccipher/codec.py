@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import functools
-import threading
 from typing import Sequence
 
-from .curve import Curve, Point, _ceil_sqrt, _Multiples
+from .curve import Curve, Point, _ceil_sqrt, _Kept, _Multiples
 
 # 43 symbols: '*', the lowercase letters, the digits 1..9 then 0, and six
 # marks.  Sized to cover every point of a 43-point curve, identity included.
@@ -50,10 +49,10 @@ class CodeTable:
     first lookup, not by from_generator: a batch of d symbols grows it to
     min(N, ceil(sqrt(d * N))), which keeps the batch near 2*sqrt(d * N)
     group additions, and a single symbol to ceil(sqrt(N)); at m = N it is
-    the whole table.  Growth builds a longer core from copies, under a
-    lock, and publishes it with one attribute assignment, so readers
-    sharing a table see an old or a new prefix, never a half-built one.
-    No result depends on which.
+    the whole table.  The table keeps its core in a `curve._Kept`, which
+    grows it by copies under a lock and only ever keeps a longer one, so
+    readers sharing a table see an old or a new prefix, never a half-built
+    one.  No result depends on which.
     """
 
     @classmethod
@@ -73,8 +72,7 @@ class CodeTable:
         table.curve = curve
         table._alphabet = alphabet
         table._index_of_symbol = _positions(alphabet)
-        table._lock = threading.Lock()
-        table._walk = _Multiples(generator, 0)
+        table._kept = _Kept(_Multiples(generator, 0))
         size = len(alphabet)
         order = curve.order_of(generator)
         if order < size:
@@ -96,14 +94,10 @@ class CodeTable:
         """The walk, first extended to min(N, ceil(sqrt(batch * N))) multiples."""
         size = len(self._alphabet)
         wanted = min(size, _ceil_sqrt(batch * size))
-        walk = self._walk
+        walk = self._kept.walk
         if len(walk.points) >= wanted:
             return walk
-        with self._lock:
-            walk = self._walk
-            if len(walk.points) < wanted:
-                walk = self._walk = walk.extended(wanted)
-        return walk
+        return self._kept.grown(walk, wanted)
 
     def _points(self, indices: list[int], walk: _Multiples) -> list[Point]:
         """i*G for each index: points[i], or (i // m)*S + points[i % m]."""

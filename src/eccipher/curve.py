@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from math import isqrt
 
 from .field import FieldElement, Prime
@@ -303,7 +304,7 @@ class _Multiples:
     `points[j]` is j*G, `index` maps each of those points to its least j,
     and `stride` is m*G.  A value is built whole and never changed;
     `extended` builds a longer one from copies, so threads that share a
-    value and publish a longer one each see all of either.  Both walks
+    value through `_Kept` each see all of an old or a new one.  Both walks
     step on coordinate pairs with `_chord`; a `Point` is built only for
     each baby step kept and each giant step looked up.
     """
@@ -365,3 +366,32 @@ class _Multiples:
                     k = base + j
                     break
         return k if k is not None and k < n else None
+
+
+class _Kept:
+    """A `_Multiples` value that threads share and that only ever grows.
+
+    `walk` is the value kept, or None.  `grown` checks and extends it under
+    one lock and then keeps the result, so a thread that read an older,
+    shorter walk of the same generator extends the longer one kept since,
+    or keeps it; only a walk of another generator replaces it.
+    """
+
+    __slots__ = ("walk", "_lock")
+
+    def __init__(self, walk: _Multiples | None = None):
+        self.walk = walk
+        self._lock = threading.Lock()
+
+    def grown(self, walk: _Multiples, m: int) -> _Multiples:
+        """`walk`, or the kept walk if its generator is equal, extended to at
+        least m multiples, kept and returned."""
+        with self._lock:
+            kept = self.walk
+            # A caller holding the kept walk itself compares no points.
+            if kept is not walk and kept is not None and kept.generator == walk.generator:
+                walk = kept
+            if len(walk.points) < m:
+                walk = walk.extended(m)
+            self.walk = walk
+        return walk

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -160,3 +161,26 @@ def additions(monkeypatch):
     monkeypatch.setattr(ec.Point, "__add__", counting_add)
     monkeypatch.setattr(curve_module, "_chord", counting_chord)
     return made
+
+
+@pytest.fixture()
+def race():
+    """Run worker(*args) for each args tuple, one thread each, and wait.
+
+    The interpreter switches threads every microsecond while they run, so
+    they interleave finely; each is joined with a 120 s timeout, and none
+    may be left running.  A worker records its own failures."""
+    def run(worker, arguments):
+        threads = [threading.Thread(target=worker, args=args) for args in arguments]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+
+    return run

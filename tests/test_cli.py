@@ -11,7 +11,7 @@ import pytest
 
 import vectors
 from eccipher import (
-    DecryptionContext, cli, codec, decrypt_message, keyfile, keypair_from_secret, reference,
+    DecryptionContext, attack, cli, codec, decrypt_message, keyfile, keypair_from_secret,
 )
 
 CURVE_ARGS = ["--p", "37", "--a", "2", "--b", "9", "--base", "9,4", "--table-base", "5,25"]
@@ -852,19 +852,19 @@ def test_the_public_files_alone_break_both_keys_and_the_message(tmp_path, monkey
     setup, _ = keyfile.parse_general_public_key(text("alice.pub"))
     base, n = setup.base, setup.curve.order_of(setup.base)
     assert n == 43
-    reference.ecdlp_bsgs(setup.table_point, base, n)   # another generator takes the kept entry
+    attack.ecdlp_bsgs(setup.table_point, base, n)   # another generator takes the kept entry
     built = []
-    build = reference._Multiples
+    build = attack._Multiples
 
     def counting_build(generator, m):
         built.append(generator)
         return build(generator, m)
 
-    monkeypatch.setattr(reference, "_Multiples", counting_build)
+    monkeypatch.setattr(attack, "_Multiples", counting_build)
     recovered = {}
     for name in ("alice", "bob"):
         _, public = keyfile.parse_general_public_key(text(f"{name}.pub"))
-        alpha = reference.ecdlp_bsgs(base, public.k1 - public.k2, n)
+        alpha = attack.ecdlp_bsgs(base, public.k1 - public.k2, n)
         private, rebuilt = keypair_from_secret(setup.curve, base, alpha,
                                                pow(alpha, -1, n) * public.k2)
         assert rebuilt == public

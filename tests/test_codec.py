@@ -3,7 +3,6 @@
 import math
 import random
 import re
-import sys
 import threading
 import time
 
@@ -252,7 +251,7 @@ def test_round_trip(message):
     assert _TABLE.decode_message(_TABLE.encode_message(message)) == message
 
 
-def test_threads_sharing_a_table_see_one_growing_prefix():
+def test_threads_sharing_a_table_see_one_growing_prefix(race):
     # Threads grow fresh shared tables at staggered moments: every lookup
     # stays right, and each prefix ends at the largest batch's size, so no
     # growth was lost to a smaller one published later.
@@ -279,23 +278,13 @@ def test_threads_sharing_a_table_see_one_growing_prefix():
         except Exception as exc:
             errors.append(exc)
 
-    threads = [threading.Thread(target=worker, args=(batch,)) for batch in batches]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
+    race(worker, [(batch,) for batch in batches])
     assert errors == []
     largest = math.isqrt(max(batches) * 530 - 1) + 1
-    assert [len(table._walk.points) for table in tables] == [largest] * rounds
+    assert [len(table._kept.walk.points) for table in tables] == [largest] * rounds
 
 
-def test_threads_indexing_two_alphabets_each_get_their_own():
+def test_threads_indexing_two_alphabets_each_get_their_own(race):
     # The alphabet index keeps one entry, and threads building setups and
     # tables on two alphabets keep replacing it; each table must still map
     # its own alphabet and refuse the other's symbols.
@@ -316,15 +305,5 @@ def test_threads_indexing_two_alphabets_each_get_their_own():
         except Exception as exc:
             errors.append(exc)
 
-    threads = [threading.Thread(target=worker, args=(index,)) for index in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
+    race(worker, [(index,) for index in range(8)])
     assert errors == []

@@ -3,8 +3,6 @@ and point orders."""
 
 import math
 import random
-import sys
-import threading
 
 import pytest
 
@@ -17,7 +15,7 @@ from eccipher import (
     PointNotOnCurveError,
     SingularCurveError,
 )
-from eccipher.curve import _chord
+from eccipher.curve import _chord, _Kept, _Multiples
 
 
 # ------------------------------------------------------------ construction
@@ -465,7 +463,7 @@ def test_each_point_is_searched_once_on_an_enumerated_curve(p, a, b, searches):
     assert all(curve.order % n == 0 for n in first)
 
 
-def test_threads_sharing_a_curve_get_every_order_right():
+def test_threads_sharing_a_curve_get_every_order_right(race):
     # The per-point cache is written without a lock: a write only ever
     # stores the one order of that point, so racing threads agree.
     curve = Curve(vectors.MID_P, vectors.MID_A, vectors.MID_B)
@@ -478,19 +476,33 @@ def test_threads_sharing_a_curve_get_every_order_right():
         shuffled = random.Random(seed).sample(points, len(points))
         wrong.extend(pt for pt in shuffled if curve.order_of(pt) != expected[pt])
 
-    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
+    race(worker, [(seed,) for seed in range(6)])
     assert wrong == []
     assert all(curve.order_of(pt) == expected[pt] for pt in points)
+
+
+def test_a_kept_walk_only_grows_until_another_generator_replaces_it(e37):
+    # The holder the code table and the key break share, without threads:
+    # a caller holding a shorter walk of the kept generator gets the kept
+    # walk back, an equal generator on a separate, equal curve counts as
+    # the same, and only a walk of another generator replaces it.
+    generator, other = e37.point(5, 25), e37.point(9, 4)
+    twin = Curve(vectors.P, vectors.A, vectors.B).point(5, 25)
+    kept = _Kept()
+    short = _Multiples(generator, 3)
+    longer = kept.grown(short, 10)
+    assert kept.walk is longer and len(longer.points) == 10
+    assert len(short.points) == 3
+    for caller, m in ((short, 5), (_Multiples(twin, 0), 4), (longer, 1), (short, 10)):
+        assert kept.grown(caller, m) is longer
+    longest = kept.grown(short, 12)
+    assert kept.walk is longest and longest.points[:10] == longer.points
+    assert longest.points == [j * generator for j in range(12)]
+    replaced = kept.grown(_Multiples(other, 2), 2)
+    assert kept.walk is replaced and replaced.generator == other
+    assert replaced.points == [j * other for j in range(2)]
+    again = kept.grown(short, 4)
+    assert kept.walk is again and again.points == [j * generator for j in range(4)]
 
 
 def _distinct_primes(n):

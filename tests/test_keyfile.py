@@ -448,7 +448,7 @@ def test_a_file_cut_inside_its_setup_names_the_missing_entry(e37, kind):
             parse("".join(lines[:k - 1]))
 
 
-def test_threads_parsing_two_setups_each_get_their_own(e37, e1009):
+def test_threads_parsing_two_setups_each_get_their_own(e37, e1009, race):
     # The setup cache keeps one entry, and threads parsing different setups
     # keep replacing it; each must still get the setup of its own text.
     mid_base = e1009.point(*vectors.MID_BASE)
@@ -467,15 +467,5 @@ def test_threads_parsing_two_setups_each_get_their_own(e37, e1009):
         except Exception as exc:
             errors.append(exc)
 
-    threads = [threading.Thread(target=worker, args=(index,)) for index in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
+    race(worker, [(index,) for index in range(8)])
     assert errors == []

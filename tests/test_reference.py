@@ -1,13 +1,12 @@
 """The brute-force oracles, and their agreement with the fast paths."""
 
 import math
-import sys
 import threading
 
 import pytest
 
 import vectors
-from eccipher import Curve, ecdlp_bsgs, ecdlp_exhaustive, reference, slow_scalar_mul
+from eccipher import Curve, attack, ecdlp_bsgs, ecdlp_exhaustive, slow_scalar_mul
 from eccipher.curve import _Multiples
 
 
@@ -231,13 +230,13 @@ def test_repeat_solves_grow_the_kept_table_to_its_cap(additions):
     ecdlp_bsgs(other, other, n)   # another generator takes the kept entry
     additions.clear()
     assert ecdlp_bsgs(generator, targets[0][1], n) == targets[0][0]
-    assert len(reference._kept.points) == m
+    assert len(attack._kept.walk.points) == m
     assert m <= len(additions) < 2 * m
     sizes = [m]
     for k, target in targets[1:]:
         additions.clear()
         assert ecdlp_bsgs(generator, target, n) == k
-        size = len(reference._kept.points)
+        size = len(attack._kept.walk.points)
         assert len(additions) <= m
         if size < cap:
             # Below the cap, the giant steps and the new baby steps spend
@@ -252,14 +251,14 @@ def test_repeat_solves_grow_the_kept_table_to_its_cap(additions):
         additions.clear()
         assert ecdlp_bsgs(generator, target, n) == k
         assert len(additions) <= -(-n // cap) - 1 == 4
-        assert len(reference._kept.points) == cap
+        assert len(attack._kept.walk.points) == cap
     additions.clear()
     assert ecdlp_bsgs(other, other_target, n) == 5
-    assert len(reference._kept.points) == m
+    assert len(attack._kept.walk.points) == m
     assert len(additions) >= m   # the baby steps were built again
 
 
-def test_threads_racing_on_different_generators_get_the_oracles_answers(e1009):
+def test_threads_racing_on_different_generators_get_the_oracles_answers(e1009, race):
     # Each thread solves on its own generator and bound, so the kept entry
     # keeps changing hands; every answer must still be the oracle's.
     points = e1009.enumerate_points()[1:]
@@ -280,21 +279,12 @@ def test_threads_racing_on_different_generators_get_the_oracles_answers(e1009):
         except Exception as exc:
             errors.append(exc)
 
-    threads = [threading.Thread(target=worker, args=(job,)) for job in jobs]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
+    race(worker, [(job,) for job in jobs])
     assert errors == []
 
 
-def test_threads_sharing_a_generator_while_its_table_grows_get_the_oracles_answers(e1009):
+def test_threads_sharing_a_generator_while_its_table_grows_get_the_oracles_answers(
+        e1009, race):
     # Every thread solves on one generator, with its own targets and bound,
     # so the threads grow the one kept table and replace it under each
     # other; every answer must still be the oracle's.  Each round starts
@@ -314,24 +304,14 @@ def test_threads_sharing_a_generator_while_its_table_grows_get_the_oracles_answe
             for _ in range(4):
                 for target, n, expected in job:
                     assert ecdlp_bsgs(generator, target, n) == expected
-                    sizes.append(len(reference._kept.points))
+                    sizes.append(len(attack._kept.walk.points))
         except Exception as exc:
             errors.append(exc)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(10):
-            ecdlp_bsgs(points[0], points[0], 1060)   # another generator takes the kept entry
-            start = threading.Barrier(len(jobs))
-            threads = [threading.Thread(target=worker, args=(start, job)) for job in jobs]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-            assert not any(thread.is_alive() for thread in threads)
-    finally:
-        sys.setswitchinterval(interval)
+    for _ in range(10):
+        ecdlp_bsgs(points[0], points[0], 1060)   # another generator takes the kept entry
+        start = threading.Barrier(len(jobs))
+        race(worker, [(start, job) for job in jobs])
     assert errors == []
     assert max(sizes) > 33   # the table grew past a fresh start's ceil(sqrt(1060))
 
@@ -346,7 +326,7 @@ def test_a_thread_that_read_an_older_table_keeps_the_longer_one_grown_meanwhile(
     n = 530
     ecdlp_bsgs(2 * base, base, n)   # another generator takes the kept entry
     assert ecdlp_bsgs(base, 5 * base, n) == 5
-    assert len(reference._kept.points) == 24
+    assert len(attack._kept.walk.points) == 24
     solved, grown = threading.Event(), threading.Event()
     log = _Multiples.log
     errors = []
@@ -371,10 +351,10 @@ def test_a_thread_that_read_an_older_table_keeps_the_longer_one_grown_meanwhile(
     try:
         assert solved.wait(timeout=60)
         assert ecdlp_bsgs(base, base, n) == 1
-        assert len(reference._kept.points) == 48
+        assert len(attack._kept.walk.points) == 48
     finally:
         grown.set()
         held.join(timeout=60)
     assert not held.is_alive()
     assert errors == []
-    assert len(reference._kept.points) == 48
+    assert len(attack._kept.walk.points) == 48
