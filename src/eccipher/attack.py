@@ -10,9 +10,7 @@ group additions, and each further key about n/2**13 once the table is full.
 
 from __future__ import annotations
 
-from math import isqrt
-
-from .curve import Point, _ceil_sqrt, _Kept, _Multiples
+from .curve import Point, _ceil_sqrt, _hasse_reach, _Kept, _Multiples
 
 
 def ecdlp_bsgs(generator: Point, target: Point, n: int) -> int | None:
@@ -35,7 +33,7 @@ def ecdlp_bsgs(generator: Point, target: Point, n: int) -> int | None:
     if n <= 0:
         return None
     p = generator.curve.p
-    n = min(n, p + 1 + isqrt(4 * p))
+    n = min(n, p + 1 + _hasse_reach(p))
     m = _ceil_sqrt(n)
     kept = _kept.walk
     if kept is None or kept.generator != generator:

@@ -1,10 +1,12 @@
 """Brute-force reference implementations: slow but independently simple.
 
-These exist so the fast paths can be audited against code with no shared
-logic: literal repeated addition instead of double-and-add, and an
-exhaustive discrete log that walks every multiple, against which the
-baby-step giant-step solver in `attack` is checked.  None of this is, or
-pretends to be, secure.
+These exist so the fast paths can be audited against another algorithm:
+literal repeated addition instead of double-and-add, and an exhaustive
+discrete log that walks every multiple instead of the baby-step giant-step
+solver in `attack`.  They share the group step, `Point.__add__` and so
+`curve._chord`, with the fast paths; the paper's table of multiples and
+the chord-and-tangent geometry tests in `tests/test_curve.py` pin that
+step on its own.  None of this is, or pretends to be, secure.
 """
 
 from __future__ import annotations

@@ -142,20 +142,27 @@ def searches(monkeypatch):
 
 @pytest.fixture()
 def additions(monkeypatch):
-    """Every group addition made while the test runs: each Point.__add__
-    call as (P, Q), and each step of the baby-step giant-step core, which
-    adds coordinate pairs with curve._chord, as its two (x, y) pairs or
-    None for infinity."""
+    """Every group addition made while the test runs, each counted once:
+    each Point.__add__ call as (P, Q), and each step that the baby-step
+    giant-step core makes on coordinate pairs with curve._chord, as its two
+    (x, y) pairs or None for infinity.  Point.__add__ takes its sum from
+    _chord too, so a _chord call made inside it is not counted again."""
     made = []
+    adding = []   # non-empty while a Point.__add__ call runs
     original_add = ec.Point.__add__
     original_chord = curve_module._chord
 
     def counting_add(self, other):
         made.append((self, other))
-        return original_add(self, other)
+        adding.append(True)
+        try:
+            return original_add(self, other)
+        finally:
+            adding.pop()
 
     def counting_chord(p, a, first, second):
-        made.append((first, second))
+        if not adding:
+            made.append((first, second))
         return original_chord(p, a, first, second)
 
     monkeypatch.setattr(ec.Point, "__add__", counting_add)
