@@ -43,16 +43,18 @@ class CodeTable:
 
     The table holds only a prefix of its generator walk, in the curve
     module's baby-step giant-step core: the first m multiples of G, a
-    point -> index dict and the stride S = m * G.  Index i >= m is
-    (i // m) * S + prefix[i % m]; a point the dict misses is found by the
-    core's giant steps P - t*S, t = 1, 2, ...  The prefix is built on the
-    first lookup, not by from_generator: a batch of d symbols grows it to
-    min(N, ceil(sqrt(d * N))), which keeps the batch near 2*sqrt(d * N)
-    group additions, and a single symbol to ceil(sqrt(N)); at m = N it is
-    the whole table.  The table keeps its core in a `curve._Kept`, which
-    grows it by copies under a lock and only ever keeps a longer one, so
-    readers sharing a table see an old or a new prefix, never a half-built
-    one.  No result depends on which.
+    dict from each j * G to j and from each -j * G to -j, and the stride
+    S = m * G.  Index i >= m is (i // m) * S + prefix[i % m]; a point the
+    dict misses is found by the core's giant steps P - t*(2m - 1)*G,
+    t = 1, 2, ..., and none is taken once 2m - 1 reaches G's order, as the
+    dict then holds every multiple.  The prefix is built on the first
+    lookup, not by from_generator: a batch of d symbols grows it to
+    min(N, ceil(sqrt(d * N))), which keeps the batch near
+    1.5*sqrt(d * N) group additions, and a single symbol to
+    ceil(sqrt(N)); at m = N it is the whole table.  The table keeps its
+    core in a `curve._Kept`, which grows it by copies under a lock and
+    only ever keeps a longer one, so readers sharing a table see an old or
+    a new prefix, never a half-built one.  No result depends on which.
     """
 
     @classmethod

@@ -119,7 +119,8 @@ class Curve:
 
         #E lies in that interval (Hasse), so some m does: m = low + k for
         the least k with k*point = -(low*point), found by baby-step
-        giant-step in about 2*sqrt(4*sqrt(p)) group operations.
+        giant-step: about sqrt(4*sqrt(p)) baby steps and at most half as
+        many giant steps, about 3*p**(1/4) group operations in all.
         """
         reach = _hasse_reach(self.p)
         low = self.p + 1 - reach
@@ -306,31 +307,37 @@ def _coordinates(point: Point) -> tuple[int, int] | None:
 class _Multiples:
     """The first m multiples of a generator G, for baby-step giant-step.
 
-    `points[j]` is j*G, `index` maps each of those points to its least j,
-    and `stride` is m*G.  A value is built whole and never changed;
+    `points[j]` is j*G and `stride` is m*G.  Negating a point is free, so
+    `index` maps j*G to j and then -j*G to -j, for j = 0, 1, ..., m - 1,
+    keeping a point's first entry: one giant step then covers a window of
+    2m - 1 multiples.  The first entry that a walked point, or m*G, meets
+    again lies r from it, where r is the order of G; `order` is then r,
+    every multiple of G is indexed and the walk indexes no more.
+    Otherwise `order` is None.  A value is built whole and never changed;
     `extended` builds a longer one from copies, so threads that share a
     value through `_Kept` each see all of an old or a new one.  Both walks
     step on coordinate pairs with `_chord`; a `Point` is built only for
-    each baby step kept and each giant step looked up.
+    each baby step kept, its negative, and each giant step looked up.
     """
 
-    __slots__ = ("generator", "points", "index", "stride")
+    __slots__ = ("generator", "points", "index", "stride", "order")
 
     def __init__(self, generator: Point, m: int):
         self.generator = generator
         self.points, self.index, self.stride = [], {}, generator.curve.infinity()
+        self.order = None
         self._walk_to(m)
 
     def extended(self, m: int) -> _Multiples:
         """The first max(m, len(points)) multiples, as a new value."""
         longer = _Multiples(self.generator, 0)
         longer.points, longer.index = self.points.copy(), self.index.copy()
-        longer.stride = self.stride
+        longer.stride, longer.order = self.stride, self.order
         longer._walk_to(m)
         return longer
 
     def _walk_to(self, m: int) -> None:
-        points, index = self.points, self.index
+        points, index, order = self.points, self.index, self.order
         curve = self.generator.curve
         p, a = curve.p, curve.a
         step = _coordinates(self.generator)
@@ -342,35 +349,73 @@ class _Multiples:
             point.curve = curve
             point.x, point.y = current or (None, None)
             points.append(point)
-            index.setdefault(point, j)
+            if order is None:
+                seen = index.setdefault(point, j)
+                if seen != j:
+                    order = j - seen
+                elif j:
+                    negative = object.__new__(Point)
+                    negative.curve = curve
+                    negative.x, negative.y = current[0], -current[1] % p
+                    seen = index.setdefault(negative, -j)
+                    if seen != -j:
+                        order = seen + j
             current = _chord(p, a, current, step)
         self.stride = Point(curve) if current is None else Point._unchecked(curve, *current)
+        if order is None:
+            # m*G = -(m - 1)*G: the 2m - 1 signed multiples are all of them.
+            seen = index.get(self.stride)
+            if seen is not None:
+                order = len(points) - seen
+        self.order = order
 
     def log(self, target: Point, n: int) -> int | None:
         """The least k < n with k*G = target, or None; an empty value finds none.
 
-        A dict hit j is that k.  After a miss, giant steps look up
-        target - t*stride for 0 < t < ceil(n/m); the first hit t*m + j is
-        the least k, and a first hit at or past n means there is none.
+        With the order r known, a dict hit d gives k = d mod r, and a miss
+        means there is none.  Otherwise a hit j >= 0 is that k.  After a
+        miss or a negative hit, giant steps look up target - t*W, with
+        W = (2m - 1)*G formed first, for t = 1, 2, ... while the window
+        t*(2m - 1) + d, |d| < m, starts below n.  The windows follow on
+        from [0, m) without gaps, so the first hit is the least k, and a
+        first hit at or past n means there is none.
         """
         index = self.index
         k = index.get(target)
-        m = len(self.points)
-        curve = self.generator.curve
-        if k is None and m and (target.curve is curve or target.curve == curve):
-            p, a = curve.p, curve.a
-            step = _coordinates(-self.stride)
-            current = _coordinates(target)
-            for base in range(m, n, m):
-                current = _chord(p, a, current, step)
-                probe = object.__new__(Point)
-                probe.curve = curve
-                probe.x, probe.y = current or (None, None)
-                j = index.get(probe)
-                if j is not None:
-                    k = base + j
-                    break
+        if self.order is not None:
+            if k is not None:
+                k %= self.order
+        elif k is None or k < 0:
+            k = None
+            m = len(self.points)
+            curve = self.generator.curve
+            if 0 < m < n and (target.curve is curve or target.curve == curve):
+                p, a = curve.p, curve.a
+                # Never infinity: an order r <= 2m - 1 is known once built.
+                x, y = _chord(p, a, _coordinates(self.stride), _coordinates(self.points[-1]))
+                step = x, -y % p
+                width = 2 * m - 1
+                current = _coordinates(target)
+                for middle in range(width, n + m - 1, width):
+                    current = _chord(p, a, current, step)
+                    probe = object.__new__(Point)
+                    probe.curve = curve
+                    probe.x, probe.y = current or (None, None)
+                    d = index.get(probe)
+                    if d is not None:
+                        k = middle + d
+                        break
         return k if k is not None and k < n else None
+
+    def log_additions(self, k: int | None, n: int) -> int:
+        """The group additions `log` makes for a bound n when it finds k < n,
+        or at most when it finds none (k None)."""
+        m = len(self.points)
+        if self.order is not None or not 0 < m < n:
+            return 0
+        width = 2 * m - 1
+        steps = (n + m - 2 if k is None else k + m - 1) // width
+        return steps + 1 if steps else 0
 
 
 class _Kept:

@@ -3,6 +3,7 @@ and point orders."""
 
 import math
 import random
+import threading
 
 import pytest
 
@@ -518,6 +519,45 @@ def test_a_kept_walk_only_grows_until_another_generator_replaces_it(e37):
     assert replaced.points == [j * other for j in range(2)]
     again = kept.grown(short, 4)
     assert kept.walk is again and again.points == [j * generator for j in range(4)]
+
+
+def test_threads_growing_a_shared_walk_through_its_order_get_every_log_right(e1009, race):
+    # Threads grow fresh shared walks of an order-5 generator from 1 to 4
+    # multiples, each to its own sizes from the walk it last held, and take
+    # logs with each walk they get back.  On the way a walk meets the
+    # order, when its stride 3*G (m = 3) or its baby step 3*G (m = 4) is
+    # -2*G: every answer must be the one repeated addition gives, and each
+    # walk ends with 4 multiples and the order.
+    points = e1009.enumerate_points()
+    five = next(q for q in (212 * p for p in points) if not q.is_infinity)
+    outside = next(p for p in points if not (5 * p).is_infinity)
+    multiples = [e1009.infinity()]
+    for _ in range(4):
+        multiples.append(multiples[-1] + five)
+    kepts = [_Kept(_Multiples(five, 1)) for _ in range(40)]
+    plans = [(1, 2, 3, 4), (4,), (3, 2), (2, 4, 3), (2,)]
+    start = threading.Barrier(len(plans))
+    errors = []
+
+    def worker(sizes):
+        try:
+            start.wait(timeout=60)
+            for kept in kepts:
+                walk = kept.walk
+                for m in sizes:
+                    walk = kept.grown(walk, m)
+                    assert len(walk.points) >= m
+                    for k, target in enumerate(multiples):
+                        assert walk.log(target, 5) == walk.log(target, 1060) == k
+                        assert walk.log(target, k) is None
+                    assert walk.log(outside, 1060) is None
+        except Exception as exc:
+            errors.append(exc)
+
+    race(worker, [(sizes,) for sizes in plans])
+    assert errors == []
+    for kept in kepts:
+        assert kept.walk.points == multiples[:4] and kept.walk.order == 5
 
 
 def _distinct_primes(n):

@@ -143,7 +143,10 @@ def test_kept_baby_steps_answer_like_the_oracle(e37, e1009):
 def test_the_baby_step_core_answers_like_the_oracle(e37, e31, e1009):
     # Fresh and extended cores, with m below and past the generator's order
     # (43, infinity's 1, and 2 and 5 on E_1009), give the oracle's least
-    # k < n for every bound and target; extension keeps each least j.
+    # k < n for every bound and target; extension keeps each least j.  The
+    # signed multiples of the order-5 generator meet at m = 4 (-2*G = 3*G);
+    # on E_37 (order 43) the 43 of m = 22 are the group exactly, and those
+    # of m = 30 meet.
     points = e1009.enumerate_points()
     two = next(p for p in points[1:] if p.y == 0)
     five = next(q for q in (212 * p for p in points) if not q.is_infinity)
@@ -158,7 +161,7 @@ def test_the_baby_step_core_answers_like_the_oracle(e37, e31, e1009):
             targets = spans + points[::53] + [stranger]
         # The least k < n is the least k < 61 when that is below n.
         least = {target: ecdlp_exhaustive(generator, target, 61) for target in targets}
-        for m in (1, 2, 3, 7, 12):
+        for m in (1, 2, 3, 4, 7, 12, 22, 30):
             start = _Multiples(generator, 1)
             for core in (_Multiples(generator, m), start.extended(m)):
                 assert core.points == [slow_scalar_mul(j, generator) for j in range(m)]
@@ -180,6 +183,43 @@ def test_the_core_of_a_generator_of_order_two_alternates_with_infinity(e1009):
             assert core.stride == slow_scalar_mul(m, two)
             infinity = e1009.infinity()
             assert core.index == ({infinity: 0, two: 1} if m > 1 else {infinity: 0})
+
+
+def test_a_core_whose_signed_multiples_meet_the_order_takes_no_giant_step(e37, e1009,
+                                                                          additions):
+    # Once two signed multiples meet, or m*G meets -(m - 1)*G, the core
+    # holds every multiple of G: a target outside <G> is answered, like
+    # every multiple, by one dict lookup and no addition, and extending the
+    # core keeps its order.  At m = 21 the 41 signed multiples of an
+    # order-43 generator are not all of them.
+    points = e1009.enumerate_points()
+    two = next(p for p in points[1:] if p.y == 0)
+    five = next(q for q in (212 * p for p in points) if not q.is_infinity)
+    generator = e37.point(5, 25)
+    assert _Multiples(generator, 21).order is None
+    for g, m, order in ((two, 2, 2), (five, 4, 5), (five, 3, 5), (generator, 22, 43),
+                        (generator, 30, 43)):
+        multiples = [slow_scalar_mul(k, g) for k in range(order)]
+        outside = _outside_span(g.curve, g) if g.curve is e1009 else None
+        for core in (_Multiples(g, m), _Multiples(g, 1).extended(m),
+                     _Multiples(g, 2 * order).extended(3 * order)):
+            assert core.order == order
+            additions.clear()
+            for k, target in enumerate(multiples):
+                assert core.log(target, order) == k
+                assert core.log(target, k) is None
+            if outside is not None:
+                assert core.log(outside, 10**6) is None
+            assert additions == []
+    # The key break keeps such a table as it is: growing it adds nothing.
+    outside, three = _outside_span(e1009, five), 3 * five
+    assert ecdlp_bsgs(five, outside, 1060) is None
+    assert len(attack._kept.walk.points) == 33 == math.isqrt(1060 - 1) + 1
+    for _ in range(3):
+        additions.clear()
+        assert ecdlp_bsgs(five, outside, 1060) is None
+        assert ecdlp_bsgs(five, three, 1060) == 3
+        assert additions == [] and len(attack._kept.walk.points) == 33
 
 
 def test_a_second_solve_on_one_base_takes_only_giant_steps(e1009, additions):
@@ -251,6 +291,7 @@ def test_repeat_solves_grow_the_kept_table_to_its_cap(additions):
         additions.clear()
         assert ecdlp_bsgs(generator, target, n) == k
         assert len(additions) <= -(-n // cap) - 1 == 4
+        assert len(additions) <= -(-n // (2 * cap - 1)) == 3
         assert len(attack._kept.walk.points) == cap
     additions.clear()
     assert ecdlp_bsgs(other, other_target, n) == 5
@@ -319,9 +360,9 @@ def test_threads_sharing_a_generator_while_its_table_grows_get_the_oracles_answe
 def test_a_thread_that_read_an_older_table_keeps_the_longer_one_grown_meanwhile(
         e1009, monkeypatch):
     # Thread A solves with the kept table of 24 baby steps, which leaves it
-    # 28 to grow to, and is held after its giant steps until this thread
+    # 36 to grow to, and is held after its giant steps until this thread
     # has grown the same table to 48; A must then keep the 48, not replace
-    # them with its own 28.
+    # them with its own 36.
     base = e1009.point(*vectors.MID_BASE)
     n = 530
     ecdlp_bsgs(2 * base, base, n)   # another generator takes the kept entry
