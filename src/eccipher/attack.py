@@ -29,10 +29,11 @@ def ecdlp_bsgs(generator: Point, target: Point, n: int) -> int | None:
     stride: about 1.5*sqrt(n) group additions, as for a one-off solve.  A
     call on an equal generator extends a kept table shorter than m to m.
     Otherwise it takes its giant steps with the kept table, then spends
-    what they left of m additions on more baby steps, up to
-    T = min(2**12, n), unless the table already holds every multiple of
-    the generator.  So such a call makes at most m additions, and once the
-    table holds T steps each further key costs about n/(2*(2T - 1)).
+    what they left of m additions, as the search counts them, on more
+    baby steps, up to T = min(2**12, n), unless the table already holds
+    every multiple of the generator.  So such a call makes at most m
+    additions, and once the table holds T steps each further key costs
+    about n/(2*(2T - 1)).
     """
     if n <= 0:
         return None
@@ -43,11 +44,11 @@ def ecdlp_bsgs(generator: Point, target: Point, n: int) -> int | None:
     if kept is None or kept.generator != generator:
         kept = _Multiples(generator, 0)
     if len(kept.points) < m:
-        return _kept.grown(kept, m).log(target, n)
-    k = kept.log(target, n)
+        return _kept.grown(kept, m).log(target, n)[0]
+    k, spent = kept.log(target, n)
     if kept.order is None:   # else every multiple is indexed
         size = len(kept.points)
-        grown = min(_TABLE_CAP, n, size + m - kept.log_additions(k, n))
+        grown = min(_TABLE_CAP, n, size + m - spent)
         if grown > size:
             _kept.grown(kept, grown)
     return k

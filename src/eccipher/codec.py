@@ -44,11 +44,12 @@ class CodeTable:
     The table holds only a prefix of its generator walk, in the curve
     module's baby-step giant-step core: the first m multiples of G, a
     dict from each j * G to j and from each -j * G to -j, and the stride
-    S = m * G.  Index i >= m is (i // m) * S + prefix[i % m]; a point the
-    dict misses is found by the core's giant steps P - t*(2m - 1)*G,
-    t = 1, 2, ..., and none is taken once 2m - 1 reaches G's order, as the
-    dict then holds every multiple.  The prefix is built on the first
-    lookup, not by from_generator: a batch of d symbols grows it to
+    S = m * G.  The core maps both ways: its `at` gives index i >= m as
+    (i // m) * S + prefix[i % m], and its `log` finds a point the dict
+    misses by giant steps P - t*(2m - 1)*G, t = 1, 2, ..., none once
+    2m - 1 reaches G's order, as the dict then holds every multiple; the
+    table reads no part of the walk itself.  The prefix is built on the
+    first lookup, not by from_generator: a batch of d symbols grows it to
     min(N, ceil(sqrt(d * N))), which keeps the batch near
     1.5*sqrt(d * N) group additions, and a single symbol to
     ceil(sqrt(N)); at m = N it is the whole table.  The table keeps its
@@ -95,33 +96,13 @@ class CodeTable:
     def _grown(self, batch: int) -> _Multiples:
         """The walk, first extended to min(N, ceil(sqrt(batch * N))) multiples."""
         size = len(self._alphabet)
-        wanted = min(size, _ceil_sqrt(batch * size))
-        walk = self._kept.walk
-        if len(walk.points) >= wanted:
-            return walk
-        return self._kept.grown(walk, wanted)
-
-    def _points(self, indices: list[int], walk: _Multiples) -> list[Point]:
-        """i*G for each index: points[i], or (i // m)*S + points[i % m]."""
-        prefix, stride = walk.points, walk.stride
-        m = len(prefix)
-        giants = [None, stride]   # giants[t] = t*S, extended as needed
-        points = []
-        for index in indices:
-            if index < m:
-                points.append(prefix[index])
-                continue
-            t, rest = divmod(index, m)
-            while len(giants) <= t:
-                giants.append(giants[-1] + stride)
-            points.append(giants[t] + prefix[rest])
-        return points
+        return self._kept.grown(self._kept.walk, min(size, _ceil_sqrt(batch * size)))
 
     def encode_symbol(self, symbol: str) -> Point:
         index = self._index_of_symbol.get(symbol)
         if index is None:
             raise UnknownSymbolError(f"symbol {symbol!r} is not in the alphabet")
-        return self._points([index], self._grown(1))[0]
+        return self._grown(1).at([index])[0]
 
     def decode_point(self, point: Point) -> str:
         return self.decode_message((point,))
@@ -135,13 +116,13 @@ class CodeTable:
                     f"symbol {symbol!r} at position {position} is not in the alphabet"
                 )
             indices.append(index)
-        return self._points(indices, self._grown(len(indices)))
+        return self._grown(len(indices)).at(indices)
 
     def decode_message(self, points: Sequence[Point]) -> str:
         walk = self._grown(len(points))
         symbols = []
         for point in points:
-            index = walk.log(point, len(self._alphabet))
+            index, _ = walk.log(point, len(self._alphabet))
             if index is None:
                 raise UnknownPointError(f"point {point} is not in the code table")
             symbols.append(self._alphabet[index])

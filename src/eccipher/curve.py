@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+from collections.abc import Iterable
 from math import isqrt
 
 from .field import FieldElement, Prime
@@ -72,16 +73,9 @@ class Curve:
         """
         self._require_enumerable()
         p = self.p
-        # y^2 = (y-1)^2 + (2y-1) for y = 1 .. (p-1)/2 marks every nonzero
-        # square; each running sum stays below 2p, so one subtraction reduces it.
         is_square = bytearray(p)
-        is_square[0] = 1
-        square = 0
-        for odd in range(1, p, 2):
-            square += odd
-            if square >= p:
-                square -= p
-            is_square[square] = 1
+        for y in range((p + 1) // 2):
+            is_square[y * y % p] = 1
         points = [self.infinity()]
         a, b = self.a, self.b
         for x in range(p):
@@ -124,7 +118,7 @@ class Curve:
         """
         reach = _hasse_reach(self.p)
         low = self.p + 1 - reach
-        k = _Multiples(point, isqrt(2 * reach) + 1).log(-(low * point), 2 * reach + 1)
+        k, _ = _Multiples(point, isqrt(2 * reach) + 1).log(-(low * point), 2 * reach + 1)
         if k is None:
             raise AssertionError(f"no multiple of the order of {point} in the Hasse interval")
         return low + k
@@ -307,7 +301,8 @@ def _coordinates(point: Point) -> tuple[int, int] | None:
 class _Multiples:
     """The first m multiples of a generator G, for baby-step giant-step.
 
-    `points[j]` is j*G and `stride` is m*G.  Negating a point is free, so
+    `points[j]` is j*G and `stride` is m*G; `at` maps indices to multiples
+    and `log` multiples back to indices.  Negating a point is free, so
     `index` maps j*G to j and then -j*G to -j, for j = 0, 1, ..., m - 1,
     keeping a point's first entry: one giant step then covers a window of
     2m - 1 multiples.  The first entry that a walked point, or m*G, meets
@@ -369,8 +364,29 @@ class _Multiples:
                 order = len(points) - seen
         self.order = order
 
-    def log(self, target: Point, n: int) -> int | None:
-        """The least k < n with k*G = target, or None; an empty value finds none.
+    def at(self, indices: Iterable[int]) -> list[Point]:
+        """i*G for each index i >= 0: points[i], or (i // m)*stride + points[i % m].
+
+        The sums are `Point` additions, and each t*stride is formed once
+        per call, up to the largest t the indices need.
+        """
+        prefix, stride = self.points, self.stride
+        m = len(prefix)
+        giants = [None, stride]   # giants[t] = t*stride, extended as needed
+        points = []
+        for index in indices:
+            if index < m:
+                points.append(prefix[index])
+                continue
+            t, rest = divmod(index, m)
+            while len(giants) <= t:
+                giants.append(giants[-1] + stride)
+            points.append(giants[t] + prefix[rest])
+        return points
+
+    def log(self, target: Point, n: int) -> tuple[int | None, int]:
+        """(k, additions): the least k < n with k*G = target, or None, and the
+        group additions made in the search; an empty value finds none.
 
         With the order r known, a dict hit d gives k = d mod r, and a miss
         means there is none.  Otherwise a hit j >= 0 is that k.  After a
@@ -378,10 +394,12 @@ class _Multiples:
         W = (2m - 1)*G formed first, for t = 1, 2, ... while the window
         t*(2m - 1) + d, |d| < m, starts below n.  The windows follow on
         from [0, m) without gaps, so the first hit is the least k, and a
-        first hit at or past n means there is none.
+        first hit at or past n means there is none.  Forming W and each
+        giant step are one addition each; nothing else adds.
         """
         index = self.index
         k = index.get(target)
+        additions = 0
         if self.order is not None:
             if k is not None:
                 k %= self.order
@@ -405,17 +423,9 @@ class _Multiples:
                     if d is not None:
                         k = middle + d
                         break
-        return k if k is not None and k < n else None
-
-    def log_additions(self, k: int | None, n: int) -> int:
-        """The group additions `log` makes for a bound n when it finds k < n,
-        or at most when it finds none (k None)."""
-        m = len(self.points)
-        if self.order is not None or not 0 < m < n:
-            return 0
-        width = 2 * m - 1
-        steps = (n + m - 2 if k is None else k + m - 1) // width
-        return steps + 1 if steps else 0
+                # m < n, so the loop ran: W, then t = middle // width steps.
+                additions = middle // width + 1
+        return (k if k is not None and k < n else None), additions
 
 
 class _Kept:
@@ -424,7 +434,9 @@ class _Kept:
     `walk` is the value kept, or None.  `grown` checks and extends it under
     one lock and then keeps the result, so a thread that read an older,
     shorter walk of the same generator extends the longer one kept since,
-    or keeps it; only a walk of another generator replaces it.
+    or keeps it; only a walk of another generator replaces it.  A caller
+    holding the kept walk, long enough already, gets it back without the
+    lock: a value is never changed, so there is nothing to wait for.
     """
 
     __slots__ = ("walk", "_lock")
@@ -436,6 +448,8 @@ class _Kept:
     def grown(self, walk: _Multiples, m: int) -> _Multiples:
         """`walk`, or the kept walk if its generator is equal, extended to at
         least m multiples, kept and returned."""
+        if walk is self.walk and len(walk.points) >= m:
+            return walk
         with self._lock:
             kept = self.walk
             # A caller holding the kept walk itself compares no points.

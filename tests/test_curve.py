@@ -548,9 +548,9 @@ def test_threads_growing_a_shared_walk_through_its_order_get_every_log_right(e10
                     walk = kept.grown(walk, m)
                     assert len(walk.points) >= m
                     for k, target in enumerate(multiples):
-                        assert walk.log(target, 5) == walk.log(target, 1060) == k
-                        assert walk.log(target, k) is None
-                    assert walk.log(outside, 1060) is None
+                        assert walk.log(target, 5)[0] == walk.log(target, 1060)[0] == k
+                        assert walk.log(target, k)[0] is None
+                    assert walk.log(outside, 1060)[0] is None
         except Exception as exc:
             errors.append(exc)
 

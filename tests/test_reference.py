@@ -140,10 +140,12 @@ def test_kept_baby_steps_answer_like_the_oracle(e37, e1009):
                 assert ecdlp_bsgs(generator, target, n) == expected, (generator, k, n)
 
 
-def test_the_baby_step_core_answers_like_the_oracle(e37, e31, e1009):
+def test_the_baby_step_core_answers_like_the_oracle(e37, e31, e1009, additions):
     # Fresh and extended cores, with m below and past the generator's order
     # (43, infinity's 1, and 2 and 5 on E_1009), give the oracle's least
-    # k < n for every bound and target; extension keeps each least j.  The
+    # k < n for every bound and target, and report the additions each
+    # search made; extension keeps each least j, and both map the indices
+    # 0..60 to the multiples repeated addition gives.  The
     # signed multiples of the order-5 generator meet at m = 4 (-2*G = 3*G);
     # on E_37 (order 43) the 43 of m = 22 are the group exactly, and those
     # of m = 30 meet.
@@ -161,15 +163,20 @@ def test_the_baby_step_core_answers_like_the_oracle(e37, e31, e1009):
             targets = spans + points[::53] + [stranger]
         # The least k < n is the least k < 61 when that is below n.
         least = {target: ecdlp_exhaustive(generator, target, 61) for target in targets}
+        multiples = [slow_scalar_mul(i, generator) for i in range(61)]
         for m in (1, 2, 3, 4, 7, 12, 22, 30):
             start = _Multiples(generator, 1)
             for core in (_Multiples(generator, m), start.extended(m)):
                 assert core.points == [slow_scalar_mul(j, generator) for j in range(m)]
                 assert core.stride == m * generator
+                assert core.at(range(61)) == multiples, (generator, m)
                 for target, k in least.items():
                     for n in range(61):
                         expected = k if k is not None and k < n else None
-                        assert core.log(target, n) == expected, (generator, m, target, n)
+                        additions.clear()
+                        found = core.log(target, n)
+                        assert found[0] == expected, (generator, m, target, n)
+                        assert found[1] == len(additions), (generator, m, target, n)
             assert len(start.points) == 1 and start.stride == generator
 
 
@@ -206,10 +213,10 @@ def test_a_core_whose_signed_multiples_meet_the_order_takes_no_giant_step(e37, e
             assert core.order == order
             additions.clear()
             for k, target in enumerate(multiples):
-                assert core.log(target, order) == k
-                assert core.log(target, k) is None
+                assert core.log(target, order)[0] == k
+                assert core.log(target, k)[0] is None
             if outside is not None:
-                assert core.log(outside, 10**6) is None
+                assert core.log(outside, 10**6)[0] is None
             assert additions == []
     # The key break keeps such a table as it is: growing it adds nothing.
     outside, three = _outside_span(e1009, five), 3 * five
@@ -299,6 +306,26 @@ def test_repeat_solves_grow_the_kept_table_to_its_cap(additions):
     assert len(additions) >= m   # the baby steps were built again
 
 
+def test_repeat_solves_on_a_target_of_another_curve_spend_their_budget_on_baby_steps(
+        additions):
+    # A target off the generator's curve is answered before any giant step,
+    # so each further call spends all of its m = ceil(sqrt(n)) additions on
+    # baby steps, and the kept table grows by m each time.
+    curve = Curve(16381, 2, 9)
+    generator = curve.point(2, 9880)
+    n, m = 16473, 129
+    stranger = Curve(16381, 3, 9).enumerate_points()[1]
+    ecdlp_bsgs(2 * generator, generator, n)   # another generator takes the kept entry
+    assert ecdlp_bsgs(generator, stranger, n) is None
+    sizes = [len(attack._kept.walk.points)]
+    for _ in range(3):
+        additions.clear()
+        assert ecdlp_bsgs(generator, stranger, n) is None
+        assert len(additions) == m
+        sizes.append(len(attack._kept.walk.points))
+    assert sizes == [m, 2 * m, 3 * m, 4 * m]
+
+
 def test_threads_racing_on_different_generators_get_the_oracles_answers(e1009, race):
     # Each thread solves on its own generator and bound, so the kept entry
     # keeps changing hands; every answer must still be the oracle's.
@@ -373,12 +400,12 @@ def test_a_thread_that_read_an_older_table_keeps_the_longer_one_grown_meanwhile(
     errors = []
 
     def held_log(self, target, bound):
-        k = log(self, target, bound)
+        found = log(self, target, bound)
         if threading.current_thread() is held:
             solved.set()
             if not grown.wait(timeout=60):
                 raise TimeoutError("the table was never grown")
-        return k
+        return found
 
     def worker():
         try:
