@@ -1,13 +1,8 @@
 """Breaking keys: the elliptic-curve discrete log at toy scale.
 
 Every general public key leaks alpha*C = K1 - K2 on a base C that many
-keys share, so breaking many keys means many logs to one base.  The
-baby-step giant-step solver therefore keeps the baby steps of the last
-generator it was asked about, and each further call on that generator
-grows them, up to T = 2**12.  Their negatives are free, so one giant step
-covers 2T - 1 multiples: the first key on a base costs about 1.5*sqrt(n)
-group additions, and each further key about n/(2*(2T - 1)), or n/2**14,
-once the table is full.
+keys share, so breaking many keys means many logs to one base, and
+`ecdlp_bsgs` keeps the baby steps of its last generator (costs below).
 """
 
 from __future__ import annotations

@@ -41,21 +41,16 @@ class CodeTable:
     symbols as message points and cipher points back as text.  Built only
     by from_generator.
 
-    The table holds only a prefix of its generator walk, in the curve
-    module's baby-step giant-step core: the first m multiples of G, a
-    dict from each j * G to j and from each -j * G to -j, and the stride
-    S = m * G.  The core maps both ways: its `at` gives index i >= m as
-    (i // m) * S + prefix[i % m], and its `log` finds a point the dict
-    misses by giant steps P - t*(2m - 1)*G, t = 1, 2, ..., none once
-    2m - 1 reaches G's order, as the dict then holds every multiple; the
-    table reads no part of the walk itself.  The prefix is built on the
-    first lookup, not by from_generator: a batch of d symbols grows it to
-    min(N, ceil(sqrt(d * N))), which keeps the batch near
-    1.5*sqrt(d * N) group additions, and a single symbol to
-    ceil(sqrt(N)); at m = N it is the whole table.  The table keeps its
-    core in a `curve._Kept`, which grows it by copies under a lock and
-    only ever keeps a longer one, so readers sharing a table see an old or
-    a new prefix, never a half-built one.  No result depends on which.
+    The table holds only a prefix of its generator's walk, a
+    `curve._Multiples`, which maps indices to points and points back to
+    indices (its docstring says how); the table reads no part of the walk
+    itself.  The prefix is built on the first lookup, not by
+    from_generator: a batch of d symbols grows it to
+    min(N, ceil(sqrt(d * N))), which keeps the batch near 1.5*sqrt(d * N)
+    group additions, and a single symbol to ceil(sqrt(N)); at m = N it is
+    the whole table.  The walk is kept in a `curve._Kept`, which only ever
+    keeps a longer one, so readers sharing a table see an old or a new
+    prefix, never a half-built one.  No result depends on which.
     """
 
     @classmethod

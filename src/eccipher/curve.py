@@ -301,26 +301,28 @@ def _coordinates(point: Point) -> tuple[int, int] | None:
 class _Multiples:
     """The first m multiples of a generator G, for baby-step giant-step.
 
-    `points[j]` is j*G and `stride` is m*G; `at` maps indices to multiples
-    and `log` multiples back to indices.  Negating a point is free, so
+    `points[j]` is j*G and `stride` is m*G.  Negating a point is free, so
     `index` maps j*G to j and then -j*G to -j, for j = 0, 1, ..., m - 1,
-    keeping a point's first entry: one giant step then covers a window of
-    2m - 1 multiples.  The first entry that a walked point, or m*G, meets
-    again lies r from it, where r is the order of G; `order` is then r,
-    every multiple of G is indexed and the walk indexes no more.
-    Otherwise `order` is None.  A value is built whole and never changed;
-    `extended` builds a longer one from copies, so threads that share a
-    value through `_Kept` each see all of an old or a new one.  Both walks
-    step on coordinate pairs with `_chord`; a `Point` is built only for
-    each baby step kept, its negative, and each giant step looked up.
+    keeping a point's first entry: a window of 2m - 1 multiples, which
+    W = (2m - 1)*G from `window()` steps across.  `at` maps indices to
+    multiples by sums of W, and `log` multiples back by steps of -W.  The
+    first entry that a walked point, or m*G, meets again lies r from it,
+    where r is the order of G; `order` is then r, every multiple of G is
+    indexed and the walk indexes no more.  Otherwise `order` is None.  A
+    value is built whole and never changed but for `window()`'s idempotent
+    write; `extended` builds a longer one from copies, without W, so
+    threads sharing a value through `_Kept` each see all of an old or a
+    new one.  Both walks step on coordinate pairs with `_chord`; a `Point`
+    is built only for each baby step kept, its negative, and each giant
+    step looked up.
     """
 
-    __slots__ = ("generator", "points", "index", "stride", "order")
+    __slots__ = ("generator", "points", "index", "stride", "order", "_window")
 
     def __init__(self, generator: Point, m: int):
         self.generator = generator
         self.points, self.index, self.stride = [], {}, generator.curve.infinity()
-        self.order = None
+        self.order = self._window = None
         self._walk_to(m)
 
     def extended(self, m: int) -> _Multiples:
@@ -364,24 +366,29 @@ class _Multiples:
                 order = len(points) - seen
         self.order = order
 
-    def at(self, indices: Iterable[int]) -> list[Point]:
-        """i*G for each index i >= 0: points[i], or (i // m)*stride + points[i % m].
+    def window(self) -> Point:
+        """W = (2m - 1)*G, formed as stride + points[-1] on first need and
+        kept; two threads may both form it and keep equal points."""
+        if self._window is None:
+            self._window = self.stride + self.points[-1]
+        return self._window
 
-        The sums are `Point` additions, and each t*stride is formed once
-        per call, up to the largest t the indices need.
-        """
-        prefix, stride = self.points, self.stride
-        m = len(prefix)
-        giants = [None, stride]   # giants[t] = t*stride, extended as needed
+    def at(self, indices: Iterable[int]) -> list[Point]:
+        """i*G for each index i >= 0: points[i], or t*W + d*G for the
+        i = t*(2m - 1) + d, |d| < m, at which `log` finds it.  The sums are
+        `Point` additions, and each t*W is formed once per call."""
+        prefix, m = self.points, len(self.points)
+        giants = []   # giants[t - 1] = t*W, extended as needed
         points = []
         for index in indices:
             if index < m:
                 points.append(prefix[index])
                 continue
-            t, rest = divmod(index, m)
-            while len(giants) <= t:
-                giants.append(giants[-1] + stride)
-            points.append(giants[t] + prefix[rest])
+            t, d = divmod(index + m - 1, 2 * m - 1)
+            d -= m - 1
+            while len(giants) < t:
+                giants.append(giants[-1] + giants[0] if giants else self.window())
+            points.append(giants[t - 1] + (prefix[d] if d >= 0 else -prefix[-d]))
         return points
 
     def log(self, target: Point, n: int) -> tuple[int | None, int]:
@@ -390,12 +397,12 @@ class _Multiples:
 
         With the order r known, a dict hit d gives k = d mod r, and a miss
         means there is none.  Otherwise a hit j >= 0 is that k.  After a
-        miss or a negative hit, giant steps look up target - t*W, with
-        W = (2m - 1)*G formed first, for t = 1, 2, ... while the window
-        t*(2m - 1) + d, |d| < m, starts below n.  The windows follow on
-        from [0, m) without gaps, so the first hit is the least k, and a
-        first hit at or past n means there is none.  Forming W and each
-        giant step are one addition each; nothing else adds.
+        miss or a negative hit, giant steps look up target - t*W for
+        t = 1, 2, ... while the window t*(2m - 1) + d, |d| < m, starts
+        below n.  The windows follow on from [0, m) without gaps, so the
+        first hit is the least k, and a first hit at or past n means there
+        is none.  Each giant step is one addition, and so is forming W in
+        the search that finds it not yet formed; nothing else adds.
         """
         index = self.index
         k = index.get(target)
@@ -409,9 +416,9 @@ class _Multiples:
             curve = self.generator.curve
             if 0 < m < n and (target.curve is curve or target.curve == curve):
                 p, a = curve.p, curve.a
+                formed = self._window is None
                 # Never infinity: an order r <= 2m - 1 is known once built.
-                x, y = _chord(p, a, _coordinates(self.stride), _coordinates(self.points[-1]))
-                step = x, -y % p
+                step = _coordinates(-self.window())
                 width = 2 * m - 1
                 current = _coordinates(target)
                 for middle in range(width, n + m - 1, width):
@@ -423,8 +430,8 @@ class _Multiples:
                     if d is not None:
                         k = middle + d
                         break
-                # m < n, so the loop ran: W, then t = middle // width steps.
-                additions = middle // width + 1
+                # m < n, so the loop ran: t = middle // width steps.
+                additions = middle // width + formed
         return (k if k is not None and k < n else None), additions
 
 
@@ -436,7 +443,7 @@ class _Kept:
     shorter walk of the same generator extends the longer one kept since,
     or keeps it; only a walk of another generator replaces it.  A caller
     holding the kept walk, long enough already, gets it back without the
-    lock: a value is never changed, so there is nothing to wait for.
+    lock, as a value's one write, its window, is idempotent.
     """
 
     __slots__ = ("walk", "_lock")

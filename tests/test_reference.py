@@ -180,6 +180,27 @@ def test_the_baby_step_core_answers_like_the_oracle(e37, e31, e1009, additions):
             assert len(start.points) == 1 and start.stride == generator
 
 
+def test_a_walk_forms_its_window_once(additions):
+    # The first search past the prefix forms W = (2m - 1)*G and then takes
+    # its t giant steps; a second search on the same walk takes the t steps
+    # only, and `at` sums t*W + d*G from the same W: t - 1 giant sums and
+    # the final one.  Each search reports what the fixture counts.
+    curve = Curve(16381, 2, 9)
+    generator = curve.point(2, 9880)
+    m, k = 129, 10000
+    target = k * generator
+    t = (k + m - 1) // (2 * m - 1)
+    core = _Multiples(generator, m)
+    for reported in (t + 1, t):
+        additions.clear()
+        assert core.log(target, 16473) == (k, reported)
+        assert len(additions) == reported
+    additions.clear()
+    assert core.at([k]) == [target]
+    assert len(additions) == t
+    assert core.window() == slow_scalar_mul(2 * m - 1, generator)
+
+
 def test_the_core_of_a_generator_of_order_two_alternates_with_infinity(e1009):
     # y = 0 makes 2*G infinity, so the core's step doubles G to infinity
     # and every m past the order repeats the two points.
@@ -426,3 +447,37 @@ def test_a_thread_that_read_an_older_table_keeps_the_longer_one_grown_meanwhile(
     assert not held.is_alive()
     assert errors == []
     assert len(attack._kept.walk.points) == 48
+
+
+def test_threads_racing_on_a_fresh_walk_get_the_oracles_answers(e1009, race):
+    # Threads share one fresh walk, not through `_Kept`, and race their
+    # first searches and index maps, so each may find its window unformed
+    # and form it; every answer must still be the oracle's, and the walk
+    # keeps (2m - 1)*G.
+    base = e1009.point(*vectors.MID_BASE)
+    n, m = 530, 8
+    targets = [k * base for k in (0, 7, 8, 100, 263, 529)] + [_outside_span(e1009, base)]
+    logs = [(target, ecdlp_exhaustive(base, target, n)) for target in targets]
+    indices = [0, 7, 8, 15, 100, 263, 529]
+    multiples = [slow_scalar_mul(i, base) for i in indices]
+    window = slow_scalar_mul(2 * m - 1, base)
+    errors = []
+
+    def worker(start, core, searching_first):
+        try:
+            start.wait(timeout=60)
+            for searching in (searching_first, not searching_first):
+                if searching:
+                    for target, expected in logs:
+                        assert core.log(target, n)[0] == expected
+                else:
+                    assert core.at(indices) == multiples
+        except Exception as exc:
+            errors.append(exc)
+
+    for _ in range(20):
+        core = _Multiples(base, m)
+        start = threading.Barrier(4)
+        race(worker, [(start, core, first) for first in (True, False, True, False)])
+        assert core.window() == window
+    assert errors == []
