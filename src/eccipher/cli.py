@@ -15,6 +15,7 @@ from pathlib import Path
 
 from . import cipher, keyfile, keys
 from ._messages import brief
+from .attack import ecdlp_bsgs
 from .codec import DEFAULT_ALPHABET
 from .curve import Curve, Point
 
@@ -188,6 +189,15 @@ def _cmd_curve_init(args) -> int:
     setup = keyfile.CurveSetup(curve, base, table_point, args.alphabet)
     group_order = curve.order  # an oversized p fails here, before any file is written
     setup.code_table()  # fails early if the alphabet does not fit
+    # A total cipher: the table holds every multiple of the table point,
+    # C among them, so every E1 = gamma*C decodes.
+    order = curve.order_of(table_point)
+    if len(setup.alphabet) != order:
+        raise ValueError(f"alphabet has {len(setup.alphabet)} symbols but the table point "
+                         f"generates {order} points; a total cipher needs exactly {order}")
+    if ecdlp_bsgs(table_point, base, order) is None:
+        raise ValueError(f"base point {base} is not a multiple of the table point "
+                         f"{table_point}; a total cipher needs it in the table")
     _save((args.out, keyfile.render_curve_setup(setup)))
     print(f"group order = {group_order}")
     print(f"base point order = {curve.order_of(base)}")

@@ -82,7 +82,7 @@ class Curve:
             rhs = (x * x * x + a * x + b) % p
             if is_square[rhs]:
                 for y in FieldElement(rhs, p).sqrt():
-                    points.append(Point._unchecked(self, x, y))
+                    points.append(_point(self, (x, y)))
         self._order = len(points)
         return points
 
@@ -164,12 +164,14 @@ class Point:
 
     Point(curve) builds infinity; Point(curve, x, y) validates the
     coordinates against the curve equation.  Group operations are the
-    chord-and-tangent law, whose one copy is `_chord` on coordinate pairs:
+    chord-and-tangent law, whose one copy is `_chord` on coordinate pairs,
+    and their results are built by `_point`, which checks nothing:
 
         P + Q     point addition (doubling when P == Q), a checked `_chord`
         -P, P - Q negation and subtraction
-        k * P     scalar multiplication by a non-negative int, by
-                  double-and-add on P + Q
+        k * P     scalar multiplication by a non-negative int, left to
+                  right from the top bit of k: one doubling per further
+                  bit and one addition of P per further set bit, on P + Q
     """
 
     __slots__ = ("curve", "x", "y")
@@ -189,15 +191,6 @@ class Point:
         self.x = x
         self.y = y
 
-    @classmethod
-    def _unchecked(cls, curve: Curve, x: int, y: int) -> Point:
-        # Fast path for coordinates already known to satisfy the equation.
-        pt = object.__new__(cls)
-        pt.curve = curve
-        pt.x = x
-        pt.y = y
-        return pt
-
     @property
     def is_infinity(self) -> bool:
         return self.x is None
@@ -205,7 +198,7 @@ class Point:
     def __neg__(self) -> Point:
         if self.is_infinity:
             return self
-        return Point._unchecked(self.curve, self.x, -self.y % self.curve.p)
+        return _point(self.curve, (self.x, -self.y % self.curve.p))
 
     def __add__(self, other: Point) -> Point:
         if not isinstance(other, Point):
@@ -217,13 +210,7 @@ class Point:
             return other
         if other.x is None:
             return self
-        # The sum is built in line, as the core's walks build their points;
-        # through Point._unchecked, demo round trips ran about 10% slower.
-        total = object.__new__(Point)
-        total.curve = curve
-        total.x, total.y = _chord(curve.p, curve.a, (self.x, self.y),
-                                  (other.x, other.y)) or (None, None)
-        return total
+        return _point(curve, _chord(curve.p, curve.a, (self.x, self.y), (other.x, other.y)))
 
     def __sub__(self, other: Point) -> Point:
         if not isinstance(other, Point):
@@ -231,18 +218,19 @@ class Point:
         return self + (-other)
 
     def __rmul__(self, k: int) -> Point:
-        """k * P by double-and-add on k as given."""
+        """k * P by left-to-right double-and-add, starting at P for the top
+        bit of k (Hankerson, Menezes and Vanstone, Algorithm 3.27)."""
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
             raise ValueError("scalar must be non-negative")
-        result = Point(self.curve)
-        addend = self
-        while k:
-            if k & 1:
-                result = result + addend
-            addend = addend + addend
-            k >>= 1
+        if k == 0:
+            return Point(self.curve)
+        result = self
+        for bit in bin(k)[3:]:
+            result = result + result
+            if bit == "1":
+                result = result + self
         return result
 
     def __eq__(self, other) -> bool:
@@ -298,6 +286,16 @@ def _coordinates(point: Point) -> tuple[int, int] | None:
     return None if point.x is None else (point.x, point.y)
 
 
+def _point(curve: Curve, xy: tuple[int, int] | None) -> Point:
+    """The inverse of `_coordinates`: the point of `curve` at xy, an (x, y)
+    pair already known to satisfy the curve equation, or infinity for None.
+    The one place a `Point` is built unchecked."""
+    point = object.__new__(Point)
+    point.curve = curve
+    point.x, point.y = xy or (None, None)
+    return point
+
+
 class _Multiples:
     """The first m multiples of a generator G, for baby-step giant-step.
 
@@ -312,9 +310,9 @@ class _Multiples:
     value is built whole and never changed but for `window()`'s idempotent
     write; `extended` builds a longer one from copies, without W, so
     threads sharing a value through `_Kept` each see all of an old or a
-    new one.  Both walks step on coordinate pairs with `_chord`; a `Point`
-    is built only for each baby step kept, its negative, and each giant
-    step looked up.
+    new one.  Both walks step on coordinate pairs with `_chord`, and
+    `_point` builds a `Point` only for each baby step kept, its negative,
+    the stride, and each giant step looked up.
     """
 
     __slots__ = ("generator", "points", "index", "stride", "order", "_window")
@@ -340,25 +338,18 @@ class _Multiples:
         step = _coordinates(self.generator)
         current = _coordinates(self.stride)
         for j in range(len(points), m):
-            # Point._unchecked in line, without its call, and (None, None)
-            # for infinity: these two loops are a solve's whole cost.
-            point = object.__new__(Point)
-            point.curve = curve
-            point.x, point.y = current or (None, None)
+            point = _point(curve, current)
             points.append(point)
             if order is None:
                 seen = index.setdefault(point, j)
                 if seen != j:
                     order = j - seen
                 elif j:
-                    negative = object.__new__(Point)
-                    negative.curve = curve
-                    negative.x, negative.y = current[0], -current[1] % p
-                    seen = index.setdefault(negative, -j)
+                    seen = index.setdefault(_point(curve, (current[0], -current[1] % p)), -j)
                     if seen != -j:
                         order = seen + j
             current = _chord(p, a, current, step)
-        self.stride = Point(curve) if current is None else Point._unchecked(curve, *current)
+        self.stride = _point(curve, current)
         if order is None:
             # m*G = -(m - 1)*G: the 2m - 1 signed multiples are all of them.
             seen = index.get(self.stride)
@@ -423,10 +414,7 @@ class _Multiples:
                 current = _coordinates(target)
                 for middle in range(width, n + m - 1, width):
                     current = _chord(p, a, current, step)
-                    probe = object.__new__(Point)
-                    probe.curve = curve
-                    probe.x, probe.y = current or (None, None)
-                    d = index.get(probe)
+                    d = index.get(_point(curve, current))
                     if d is not None:
                         k = middle + d
                         break

@@ -1,11 +1,10 @@
 """Validated prime moduli, and residues mod p with their square roots.
 
 Field arithmetic itself is plain int arithmetic mod p (inverses by
-`pow(x, -1, p)`); `FieldElement` keeps only the Legendre symbol and the
-Tonelli-Shanks square root that point enumeration needs.  Enumeration
-builds one per x whose x^3 + ax + b is a square or zero mod p, picked by
-its own table of squares, so every root it lists still comes from
-`FieldElement.sqrt`.
+`pow(x, -1, p)`); `FieldElement` keeps only the Tonelli-Shanks square
+roots that point enumeration needs.  Enumeration builds one per x whose
+x^3 + ax + b is a square or zero mod p, picked by its own table of
+squares, so every root it lists still comes from `FieldElement.sqrt`.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ class Prime(int):
 
 
 class FieldElement:
-    """A residue in [0, p) with its Legendre symbol and square roots.
+    """A residue in [0, p) with its square roots.
 
     Arithmetic on residues is plain int arithmetic mod p; this class only
     answers whether a residue is a square and what its roots are.
@@ -79,27 +78,18 @@ class FieldElement:
         self.residue = residue % modulus
         self.modulus = modulus
 
-    def legendre(self) -> int:
-        """0 for zero, +1 for a nonzero square mod p, -1 otherwise."""
-        if self.residue == 0:
-            return 0
-        sym = pow(self.residue, (self.modulus - 1) // 2, self.modulus)
-        return 1 if sym == 1 else -1
-
     def sqrt(self) -> tuple[int, ...] | None:
         """All square roots of this residue, as ints in [0, p).
 
         Returns (r, p-r) for a nonzero square, (0,) for zero, and None when
         no root exists.  Uses Tonelli-Shanks, whose r for p = 3 (mod 4) is
-        this residue to the power (p+1)/4.
+        this residue to the power (p+1)/4, and whose root of zero is 0.
         """
-        if self.residue == 0:
-            return (0,)
         p = int(self.modulus)
         r = _tonelli_shanks(self.residue, p)
         if r is None:
             return None
-        return (r, p - r)
+        return (r, p - r) if r else (0,)
 
     def __repr__(self) -> str:
         return f"FieldElement({self.residue}, {int(self.modulus)})"

@@ -107,6 +107,36 @@ def test_curve_init_rejects_alphabet_larger_than_group(run_cli, tmp_path):
     assert "alphabet" in result.stderr
 
 
+def test_curve_init_refuses_a_table_that_misses_points(run_cli, tmp_path):
+    # (2,23365) generates 65,386 points of E_65537(2,3), and the default
+    # alphabet names 43 of them: a ciphertext point past them would fail
+    # to decode partway through a message, so no setup file is written.
+    result = run_cli("curve", "init", "--p", "65537", "--a", "2", "--b", "3",
+                     "--base", "2,23365", "--out", "c.ecff", cwd=tmp_path)
+    assert result.returncode == 2
+    assert result.stderr == ("error: alphabet has 43 symbols but the table point generates "
+                             "65386 points; a total cipher needs exactly 65386\n")
+    assert result.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_curve_init_refuses_a_base_outside_the_table(run_cli, tmp_path):
+    # E_1009(7,21) is Z/2 x Z/530: (8,331) has order 530 but is no multiple
+    # of (0,651), so E1 = gamma*C would miss a table that covers (0,651)'s
+    # 530 multiples exactly.  The table point's own base is accepted.
+    alphabet = "".join(chr(0x4E00 + i) for i in range(530))
+    init = ("curve", "init", "--p", "1009", "--a", "7", "--b", "21",
+            "--table-base", "0,651", "--alphabet", alphabet, "--out", "c.ecff")
+    result = run_cli(*init, "--base", "8,331", cwd=tmp_path)
+    assert result.returncode == 2
+    assert result.stderr == ("error: base point (8,331) is not a multiple of the table point "
+                             "(0,651); a total cipher needs it in the table\n")
+    assert list(tmp_path.iterdir()) == []
+    result = run_cli(*init, "--base", "0,651", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "group order = 1060\nbase point order = 530\n"
+
+
 _BIG_SETUP = """\
 p = 1048583
 a = 0
@@ -378,12 +408,14 @@ def test_undecodable_key_file_is_refused_with_its_line(run_cli, workdir):
     assert result.stdout == ""
 
 
-# "\udcff" reaches the child as the byte 0xff, which is no UTF-8 text.
+# "\udcff" reaches the child as the byte 0xff, which is no UTF-8 text.  The
+# curve-init alphabet covers all 43 points, so only the write can fail.
 @pytest.mark.parametrize("command, target", [
     (("derive-specific", "--private", "alice.priv", "--peer-public", "bob.pub",
       "--issuer", "al\udcffice", "--audience", "bob", "--out", "alice_for_bob.spec"),
      "alice_for_bob.spec"),
-    (("curve", "init", *CURVE_ARGS, "--alphabet", "ab\udcff", "--out", "demo.ecff"),
+    (("curve", "init", *CURVE_ARGS, "--alphabet", vectors.ALPHABET[:42] + "\udcff",
+      "--out", "demo.ecff"),
      "demo.ecff"),
 ], ids=["derive-specific", "curve-init"])
 def test_unwritable_output_leaves_an_existing_file_unchanged(run_cli, workdir, command, target):

@@ -15,6 +15,7 @@ from eccipher import (
     Point,
     PointNotOnCurveError,
     SingularCurveError,
+    slow_scalar_mul,
 )
 from eccipher.curve import _chord, _Kept, _Multiples
 
@@ -216,6 +217,25 @@ def test_scalar_reduces_mod_group_order(e37):
     assert 44 * g == g
     assert (43 * g).is_infinity
     assert 86 * g == 0 * g
+
+
+@pytest.mark.parametrize("curve, generator", [
+    ((37, 2, 9), (5, 25)),
+    ((vectors.ALT_P, vectors.ALT_A, vectors.ALT_B), vectors.ALT_BASE),
+], ids=["E37", "E31"])
+def test_scalar_mul_starts_at_the_top_bit(curve, generator, additions):
+    # Left to right from P itself: for k > 0 of L bits, w of them set, one
+    # doubling per bit after the top one and one addition of P per set bit
+    # after it, with no doubling past the top bit and no infinity + P.
+    curve = Curve(*curve)
+    g = curve.point(*generator)
+    assert curve.order == 43
+    for k in range(2 * curve.order):
+        expected = slow_scalar_mul(k, g)
+        additions.clear()
+        assert k * g == expected
+        cost = (k.bit_length() - 1) + (bin(k).count("1") - 1) if k else 0
+        assert len(additions) == cost, k
 
 
 def test_scalar_mul_correct_before_order_is_known(enumerations, monkeypatch):

