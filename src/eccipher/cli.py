@@ -15,7 +15,6 @@ from pathlib import Path
 
 from . import cipher, keyfile, keys
 from ._messages import brief
-from .attack import ecdlp_bsgs
 from .codec import DEFAULT_ALPHABET
 from .curve import Curve, Point
 
@@ -188,16 +187,7 @@ def _cmd_curve_init(args) -> int:
     table_point = base if args.table_base is None else _parse_point(curve, args.table_base)
     setup = keyfile.CurveSetup(curve, base, table_point, args.alphabet)
     group_order = curve.order  # an oversized p fails here, before any file is written
-    setup.code_table()  # fails early if the alphabet does not fit
-    # A total cipher: the table holds every multiple of the table point,
-    # C among them, so every E1 = gamma*C decodes.
-    order = curve.order_of(table_point)
-    if len(setup.alphabet) != order:
-        raise ValueError(f"alphabet has {len(setup.alphabet)} symbols but the table point "
-                         f"generates {order} points; a total cipher needs exactly {order}")
-    if ecdlp_bsgs(table_point, base, order) is None:
-        raise ValueError(f"base point {base} is not a multiple of the table point "
-                         f"{table_point}; a total cipher needs it in the table")
+    setup.code_table()  # refuses a setup whose cipher is not total
     _save((args.out, keyfile.render_curve_setup(setup)))
     print(f"group order = {group_order}")
     print(f"base point order = {curve.order_of(base)}")
@@ -215,9 +205,9 @@ def _cmd_keygen(args) -> int:
     setup = _load(args.curve, keyfile.parse_curve_setup)
     if args.alpha is not None:
         secret_point = _parse_point(setup.curve, args.point)
-        private, public = keys.keypair_from_secret(
-            setup.curve, setup.base, args.alpha, secret_point
-        )
+        setup.code_table(("secret point", secret_point))
+        private, public = keys.keypair_from_secret(setup.curve, setup.base, args.alpha,
+                                                   secret_point)
     else:
         private, public = keys.keygen(setup.curve, setup.base, _make_rng(args.seed))
     _save((args.out_private, keyfile.render_private_key(setup, private, public)),
@@ -237,12 +227,14 @@ def _cmd_derive_specific(args) -> int:
 
 
 def _load_conversation(args):
-    """Own private key, peer's general and specific keys, and the code table."""
+    """Own private key, the peer's keys, and a code table that holds the peer's points."""
     setup, own, _ = _load(args.private, keyfile.parse_private_key)
     peer_setup, peer = _load(args.peer_public, keyfile.parse_general_public_key)
     specific_setup, specific = _load(args.peer_specific, keyfile.parse_specific_public_key)
     _require_same_setup(setup, peer_setup, specific_setup)
-    return own, peer, specific, setup.code_table()
+    pub, spec = brief(args.peer_public), brief(args.peer_specific)
+    return own, peer, specific, setup.code_table(
+        (f"{pub}: pub1", peer.k1), (f"{pub}: pub2", peer.k2), (f"{spec}: point", specific.point))
 
 
 def _cmd_encrypt(args) -> int:

@@ -33,7 +33,7 @@ import re
 
 from ._messages import brief
 from ._record import Record
-from .codec import CodeTable, _positions
+from .codec import CodeTable, UnknownPointError, _positions
 from .curve import Curve, CurveTooLargeError, Point, PointNotOnCurveError, SingularCurveError
 from .field import Prime
 from .keys import GeneralPublicKey, PrivateKey, SpecificPublicKey, keypair_from_secret
@@ -73,8 +73,31 @@ class CurveSetup(Record):
         if len(_positions(alphabet)) != len(alphabet) or not alphabet:
             raise ValueError("alphabet must be non-empty with distinct symbols")
 
-    def code_table(self) -> CodeTable:
-        return CodeTable.from_generator(self.curve, self.table_point, self.alphabet)
+    def code_table(self, *named_points: tuple[str, Point]) -> CodeTable:
+        """The setup's code table, refused unless the cipher on it is total.
+
+        E1 = gamma*C and E2 are rendered through the table, so it must hold
+        every multiple of its point G and every point they are built from:
+        the alphabet names exactly order(G) symbols, and C and each of
+        `named_points`, (name, point) pairs such as a peer's key points,
+        decode.  Otherwise a `ValueError` refuses the input before any
+        arithmetic, not partway through a message.
+        `CodeTable.from_generator` also builds partial tables, which the
+        cipher contexts accept.
+        """
+        table_point = self.table_point
+        table = CodeTable.from_generator(self.curve, table_point, self.alphabet)
+        order = self.curve.order_of(table_point)
+        if len(self.alphabet) != order:
+            raise ValueError(f"alphabet has {len(self.alphabet)} symbols but the table point "
+                             f"generates {order} points; a total cipher needs exactly {order}")
+        for name, point in (("base point", self.base), *named_points):
+            try:
+                table.decode_point(point)
+            except UnknownPointError:
+                raise ValueError(f"{name} {point} is not a multiple of the table point "
+                                 f"{table_point}; a total cipher needs it in the table") from None
+        return table
 
 
 # Each kind's entries after the shared setup lines, in file order:

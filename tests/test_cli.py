@@ -3,6 +3,7 @@ and in-process where a test counts what a command computes."""
 
 import argparse
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,8 @@ import pytest
 
 import vectors
 from eccipher import (
-    DecryptionContext, attack, cli, codec, decrypt_message, keyfile, keypair_from_secret,
+    DEFAULT_ALPHABET, Curve, DecryptionContext, attack, cli, codec, decrypt_message,
+    derive_specific, keyfile, keygen, keypair_from_secret,
 )
 
 CURVE_ARGS = ["--p", "37", "--a", "2", "--b", "9", "--base", "9,4", "--table-base", "5,25"]
@@ -135,6 +137,105 @@ def test_curve_init_refuses_a_base_outside_the_table(run_cli, tmp_path):
     result = run_cli(*init, "--base", "0,651", cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "group order = 1060\nbase point order = 530\n"
+
+
+def test_curve_init_leaves_the_key_break_table_alone(tmp_path, monkeypatch, capsys):
+    # The setup's own code table answers whether C is in it, so curve init
+    # builds no key-break table.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(attack._kept, "walk", None)
+    assert cli.main(["curve", "init", *CURVE_ARGS, "--out", "demo.ecff"]) == 0
+    assert capsys.readouterr() == ("group order = 43\nbase point order = 43\n", "")
+    assert attack._kept.walk is None
+
+
+_E65537 = Curve(65537, 2, 3)
+_E1009 = Curve(1009, 7, 21)
+_E1009_ALPHABET = "".join(chr(0x4E00 + i) for i in range(530))
+
+
+def _write_conversation(directory, setup, alice, bob):
+    """Key files for a conversation between two in-process key pairs, each
+    a (private, public) pair on `setup`: curve init could not write them."""
+    for name, (private, public) in (("alice", alice), ("bob", bob)):
+        (directory / f"{name}.priv").write_text(
+            keyfile.render_private_key(setup, private, public), encoding="utf-8")
+        (directory / f"{name}.pub").write_text(
+            keyfile.render_general_public_key(setup, public), encoding="utf-8")
+    for (name, (private, _)), (peer, (_, public)) in ((("alice", alice), ("bob", bob)),
+                                                       (("bob", bob), ("alice", alice))):
+        (directory / f"{name}_for_{peer}.spec").write_text(keyfile.render_specific_public_key(
+            setup, derive_specific(private, public.k2, name, peer)), encoding="utf-8")
+
+
+def _conversation_commands(alphabet):
+    return [
+        ("encrypt", "--private", "bob.priv", "--peer-public", "alice.pub",
+         "--peer-specific", "alice_for_bob.spec", "--message", alphabet[1:4], "--seed", 3),
+        ("decrypt", "--private", "alice.priv", "--peer-public", "bob.pub",
+         "--peer-specific", "bob_for_alice.spec", "--cipher", alphabet[2:6]),
+    ]
+
+
+@pytest.mark.parametrize("setup, message", [
+    (keyfile.CurveSetup(_E65537, _E65537.point(2, 23365), _E65537.point(2, 23365),
+                        DEFAULT_ALPHABET),
+     "alphabet has 43 symbols but the table point generates 65386 points; "
+     "a total cipher needs exactly 65386"),
+    (keyfile.CurveSetup(_E1009, _E1009.point(8, 331), _E1009.point(0, 651), _E1009_ALPHABET),
+     "base point (8,331) is not a multiple of the table point (0,651); "
+     "a total cipher needs it in the table"),
+], ids=["table-misses-points", "base-outside-table"])
+def test_conversations_refuse_a_partial_setup_at_the_start(run_cli, tmp_path, setup, message):
+    # Setup files written by hand, or before curve init refused these
+    # setups, reach encrypt and decrypt, which refuse them before any
+    # output rather than failing on a point partway through a message.
+    rng = random.Random(7)
+    alice, bob = (keygen(setup.curve, setup.base, rng) for _ in range(2))
+    _write_conversation(tmp_path, setup, alice, bob)
+    for command in _conversation_commands(setup.alphabet):
+        result = run_cli(*command, cwd=tmp_path)
+        assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
+
+
+def test_keygen_refuses_a_secret_point_outside_the_table(run_cli, tmp_path):
+    # E_1009(7,21) is Z/2 x Z/530: (8,331) is no multiple of (0,651), so
+    # every E2 built from a key on it would miss the table.  A multiple of
+    # the table point is accepted.
+    result = run_cli("curve", "init", "--p", "1009", "--a", "7", "--b", "21",
+                     "--base", "0,651", "--alphabet", _E1009_ALPHABET, "--out", "c.ecff",
+                     cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    keygen_args = ("keygen", "--curve", "c.ecff", "--alpha", 5,
+                   "--out-private", "k.priv", "--out-public", "k.pub")
+    result = run_cli(*keygen_args, "--point", "8,331", cwd=tmp_path)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == ("error: secret point (8,331) is not a multiple of the table point "
+                             "(0,651); a total cipher needs it in the table\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["c.ecff"]
+    inside = 2 * _E1009.point(0, 651)
+    result = run_cli(*keygen_args, "--point", f"{inside.x},{inside.y}", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+
+
+def test_conversations_refuse_a_peer_point_outside_the_table(run_cli, tmp_path):
+    # On the total E_1009 setup, Alice's key is built on a secret point
+    # outside <(0,651)>, so her public points and Bob's specific key for
+    # her miss the table; encrypt to her and decrypt from Bob both refuse,
+    # naming the file, before any output.
+    base = _E1009.point(0, 651)
+    setup = keyfile.CurveSetup(_E1009, base, base, _E1009_ALPHABET)
+    alice = keypair_from_secret(_E1009, base, 5, _E1009.point(8, 331))
+    bob = keypair_from_secret(_E1009, base, 3, 2 * base)
+    _write_conversation(tmp_path, setup, alice, bob)
+    bob_for_alice = derive_specific(bob[0], alice[1].k2).point
+    refused = [f"'alice.pub': pub1 {alice[1].k1}", f"'bob_for_alice.spec': point {bob_for_alice}"]
+    for command, name in zip(_conversation_commands(_E1009_ALPHABET), refused):
+        result = run_cli(*command, cwd=tmp_path)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == (f"error: {name} is not a multiple of the table point (0,651); "
+                                 "a total cipher needs it in the table\n")
 
 
 _BIG_SETUP = """\
