@@ -35,11 +35,11 @@ class UnknownPointError(ValueError):
 class CodeTable:
     """The agreed code table: the i-th alphabet symbol is i * G.
 
-    G is the table's generator, so the table is the first N = |alphabet|
-    multiples of G and its first symbol denotes the identity.  Both ends
-    of a conversation must hold the same table; it renders plaintext
-    symbols as message points and cipher points back as text.  Built only
-    by from_generator.
+    G is the table's generator, and the alphabet names exactly its N =
+    order(G) multiples, so the first symbol denotes the identity and every
+    multiple of G has one.  Both ends of a conversation must hold the same
+    table; it renders plaintext symbols as message points and cipher points
+    back as text.  Built only by from_generator, which holds that rule.
 
     The table holds only a prefix of its generator's walk, a
     `curve._Multiples`, which maps indices to points and points back to
@@ -59,10 +59,9 @@ class CodeTable:
         """Build the table whose i-th symbol maps to i * generator.
 
         Index 0 is the identity, so the first symbol always denotes
-        infinity.  The generator's order, from `curve.order_of` (which
-        refuses p > 2**20), must be at least the alphabet size or the
-        mapping would repeat points.  Below that order the multiples are
-        distinct points of the curve, so only the symbols need checking.
+        infinity.  The alphabet names exactly the generator's order, from
+        `curve.order_of` (which refuses p > 2**20), in distinct symbols:
+        more would repeat points, and fewer would leave multiples unnamed.
         """
         if generator.curve != curve:
             raise ValueError("generator belongs to a different curve")
@@ -79,6 +78,9 @@ class CodeTable:
             )
         if len(table._index_of_symbol) != size:
             raise ValueError("alphabet symbols must be distinct")
+        if size < order:
+            raise ValueError(f"alphabet has {size} symbols but the table point "
+                             f"generates {order} points; a total cipher needs exactly {order}")
         return table
 
     @property

@@ -76,21 +76,15 @@ class CurveSetup(Record):
     def code_table(self, *named_points: tuple[str, Point]) -> CodeTable:
         """The setup's code table, refused unless the cipher on it is total.
 
-        E1 = gamma*C and E2 are rendered through the table, so it must hold
-        every multiple of its point G and every point they are built from:
-        the alphabet names exactly order(G) symbols, and C and each of
-        `named_points`, (name, point) pairs such as a peer's key points,
-        decode.  Otherwise a `ValueError` refuses the input before any
-        arithmetic, not partway through a message.
-        `CodeTable.from_generator` also builds partial tables, which the
-        cipher contexts accept.
+        E1 = gamma*C and E2 are rendered through the table, which holds
+        every multiple of its point G (`CodeTable.from_generator` sees to
+        that), so the points they are built from must be multiples of G: C
+        and each of `named_points`, (name, point) pairs such as a peer's key
+        points, must decode.  Otherwise a `ValueError` refuses the input
+        before any arithmetic, not partway through a message.
         """
         table_point = self.table_point
         table = CodeTable.from_generator(self.curve, table_point, self.alphabet)
-        order = self.curve.order_of(table_point)
-        if len(self.alphabet) != order:
-            raise ValueError(f"alphabet has {len(self.alphabet)} symbols but the table point "
-                             f"generates {order} points; a total cipher needs exactly {order}")
         for name, point in (("base point", self.base), *named_points):
             try:
                 table.decode_point(point)

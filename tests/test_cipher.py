@@ -262,7 +262,7 @@ def test_encrypt_algebra_outside_the_base_subgroup(e1009, scalar_muls):
     # decrypt, once the context holds r*J1 + T.
     curve = e1009
     base = curve.point(*vectors.MID_BASE)
-    table = CodeTable.from_generator(curve, base)
+    table = CodeTable.from_generator(curve, base, "".join(chr(0x4E00 + i) for i in range(530)))
     recipient_private, recipient_public = keypair_from_secret(curve, base, 3, curve.point(8, 331))
     sender_private, sender_public = keypair_from_secret(curve, base, 401, 17 * base)
     subgroup = {k * base for k in range(530)}

@@ -67,8 +67,9 @@ def test_unknown_symbol_raises():
 
 
 def test_unknown_point_raises():
+    # E_5(1,1) has #E = 9; 3*(0,1) generates its subgroup of order 3.
     small = Curve(5, 1, 1)
-    small_table = CodeTable.from_generator(small, small.point(0, 1), "*abc")
+    small_table = CodeTable.from_generator(small, 3 * small.point(0, 1), "*ab")
     assert small.point(0, 4) not in small_table.encode_message(small_table.alphabet)
     with pytest.raises(UnknownPointError):
         small_table.decode_point(small.point(0, 4))
@@ -94,7 +95,8 @@ def test_table_points_are_pairwise_distinct():
 
 
 def test_alphabet_longer_than_generator_order_rejected():
-    with pytest.raises(AlphabetTooLargeError):
+    message = "^alphabet has 44 symbols but the generator only addresses 43 points$"
+    with pytest.raises(AlphabetTooLargeError, match=message):
         CodeTable.from_generator(_CURVE, _CURVE.point(5, 25), DEFAULT_ALPHABET + "A")
 
 
@@ -114,9 +116,9 @@ def test_from_generator_needs_no_group_order(e37_table, enumerations):
     table = CodeTable.from_generator(fresh, fresh.point(*vectors.TABLE_POINT), vectors.ALPHABET)
     cells = dict(zip(table.alphabet, table.encode_message(table.alphabet)))
     assert cells == dict(zip(e37_table.alphabet, e37_table.encode_message(e37_table.alphabet)))
+    with pytest.raises(ValueError, match="^alphabet has 0 symbols"):
+        CodeTable.from_generator(fresh, fresh.point(*vectors.TABLE_POINT), "")
     assert enumerations == []
-    empty = CodeTable.from_generator(fresh, fresh.point(*vectors.TABLE_POINT), "")
-    assert len(empty) == 0 and empty.encode_message(empty.alphabet) == []
 
 
 def test_from_generator_reuses_the_order_keygen_found(searches, additions):
@@ -183,19 +185,17 @@ def test_walk_matches_oracle_up_to_the_generators_order(generator, order):
 
 
 def test_points_outside_the_table_raise():
-    # E_1009(7,21) has #E = 1060; a generator of order 530 and a 300-symbol
-    # alphabet leave points outside <G> and multiples with index >= N.
+    # E_1009(7,21) has #E = 1060, so a generator of order 530 leaves half
+    # the points outside <G>.
     curve = Curve(vectors.MID_P, vectors.MID_A, vectors.MID_B)
     points = curve.enumerate_points()
     generator = next(pt for pt in points if curve.order_of(pt) == 530)
-    alphabet = "".join(chr(0x4E00 + i) for i in range(300))
+    alphabet = "".join(chr(0x4E00 + i) for i in range(530))
     table = CodeTable.from_generator(curve, generator, alphabet)
-    multiples = [slow_scalar_mul(i, generator) for i in range(300)]
+    multiples = [slow_scalar_mul(i, generator) for i in range(530)]
     symbol_of = dict(zip(multiples, alphabet))
     outside = [pt for pt in points if pt not in symbol_of]
-    assert len(outside) == 1060 - 300
-    assert slow_scalar_mul(300, generator) in outside
-    assert slow_scalar_mul(529, generator) in outside
+    assert len(outside) == 1060 - 530
     for point in points:
         if point in symbol_of:
             assert table.decode_point(point) == symbol_of[point]
@@ -240,10 +240,19 @@ def test_a_batch_costs_a_prefix_and_giant_steps_not_the_whole_walk(additions):
     assert points == [alphabet.index(symbol) * generator for symbol in message]
 
 
-def test_shorter_alphabet_uses_prefix_of_multiples():
-    table = CodeTable.from_generator(_CURVE, _CURVE.point(5, 25), "*xyz")
-    assert table.encode_symbol("z") == 3 * _CURVE.point(5, 25)
-    assert len(table) == 4
+@pytest.mark.parametrize("p, a, b, generator, alphabet, order", [
+    # (2,23365) generates 65386 points of E_65537(2,3), far more than 43.
+    pytest.param(65537, 2, 3, (2, 23365), DEFAULT_ALPHABET, 65386, id="E65537-default"),
+    pytest.param(vectors.MID_P, vectors.MID_A, vectors.MID_B, (0, 651),
+                 "".join(chr(0x4E00 + i) for i in range(300)), 530, id="E1009-300"),
+    pytest.param(vectors.P, vectors.A, vectors.B, vectors.TABLE_POINT, "", 43, id="empty"),
+])
+def test_alphabet_shorter_than_generator_order_rejected(p, a, b, generator, alphabet, order):
+    curve = Curve(p, a, b)
+    message = (f"alphabet has {len(alphabet)} symbols but the table point generates {order} "
+               f"points; a total cipher needs exactly {order}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CodeTable.from_generator(curve, curve.point(*generator), alphabet)
 
 
 @given(st.text(alphabet=DEFAULT_ALPHABET, max_size=40))
@@ -287,11 +296,9 @@ def test_threads_sharing_a_table_see_one_growing_prefix(race):
 def test_threads_indexing_two_alphabets_each_get_their_own(race):
     # The alphabet index keeps one entry, and threads building setups and
     # tables on two alphabets keep replacing it; each table must still map
-    # its own alphabet and refuse the other's symbols.  The 40-symbol table
-    # is partial, which a setup's code_table() refuses, so each table is
-    # built from its generator while its setup checks the same alphabet.
+    # its own alphabet and refuse the other's symbols.
     base, generator = _CURVE.point(*vectors.BASE), _CURVE.point(*vectors.TABLE_POINT)
-    alphabets = [DEFAULT_ALPHABET, "".join(chr(0x4E00 + i) for i in range(40))]
+    alphabets = [DEFAULT_ALPHABET, "".join(chr(0x4E00 + i) for i in range(43))]
     start = threading.Barrier(8)
     errors = []
 
@@ -300,8 +307,7 @@ def test_threads_indexing_two_alphabets_each_get_their_own(race):
             start.wait(timeout=60)
             for i in range(200):
                 own, other = alphabets[(index + i) % 2], alphabets[(index + i + 1) % 2]
-                CurveSetup(_CURVE, base, generator, own)
-                table = CodeTable.from_generator(_CURVE, generator, own)
+                table = CurveSetup(_CURVE, base, generator, own).code_table()
                 assert table.decode_message(table.encode_message(own)) == own
                 with pytest.raises(UnknownSymbolError):
                     table.encode_symbol(other[1])
