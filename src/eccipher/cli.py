@@ -1,7 +1,9 @@
 """Command-line front end: curve setup, key files, encryption, decryption.
 
 Exit codes: 0 on success, 1 for usage errors, 2 for data or validation
-errors.  Results go to stdout, everything else to stderr.
+errors, and 141 (128 + SIGPIPE, as a shell reports for a writer killed by
+it), with nothing on stderr, when stdout's reader has gone, as in
+`... | head`.  Results go to stdout, everything else to stderr.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .curve import Curve, Point
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
+STDOUT_CLOSED = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,7 +111,7 @@ def _save(*files: tuple[str, str], inputs: tuple[str, ...] = ()) -> None:
     refused.  Any other path, such as a symlink, a FIFO or /dev/stdout, is
     written through as an ordinary open would, before the first replace;
     what is written there cannot be taken back.  An error names the path as
-    given, never a temporary or backup file.
+    given, never a temporary or backup file, also one raised by a write.
     """
     _refuse_shared_targets([path for path, _ in files], inputs)
     targets = [str(Path(path)) for path, _ in files]
@@ -158,8 +161,6 @@ def _save(*files: tuple[str, str], inputs: tuple[str, ...] = ()) -> None:
                     os.remove(staged[index][0])
             except OSError:
                 pass
-        if exc.filename is None:
-            raise
         raise OSError(exc.errno, exc.strerror, target) from None
     finally:
         leftovers = [temp for _, temp, _ in staged] + list(backups.values())
@@ -352,8 +353,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     _check_usage(parser, args)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # a reader gone since the last write shows here
+        return status
     except (ValueError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError) and exc.filename is None:
+            # stdout's reader has gone (a named output's error names it):
+            # stop quietly, and let the final flush go to the null device.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return STDOUT_CLOSED
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

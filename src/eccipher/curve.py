@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterable
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from math import isqrt
 
 from .field import FieldElement, Prime
@@ -48,7 +49,9 @@ class Curve:
 
     @property
     def order(self) -> int:
-        """Number of points including infinity, enumerated on first read."""
+        """Number of points including infinity, #E: the length of the
+        listing that `enumerate_points` makes on first read, kept after
+        the listing itself is dropped."""
         if self._order is None:
             self.enumerate_points()
         return self._order
@@ -62,29 +65,34 @@ class Curve:
     def infinity(self) -> Point:
         return Point(self)
 
-    def enumerate_points(self) -> list[Point]:
+    def enumerate_points(self) -> Sequence[Point]:
         """All points: infinity first, then ascending x, each root pair in turn.
 
         A table of the squares mod p, one byte per residue, picks the x
         whose x^3 + ax + b is a square or zero; only those x get a
         `FieldElement` and its Tonelli-Shanks roots, so a non-residue costs
-        one table read.  Also fills the curve's `order` cache.  Refuses
-        p > 2**20, which bounds the table at 1 MiB.
+        one table read.  The result is an immutable sequence that holds
+        the coordinates in two int arrays, not a `Point` per point: each
+        read builds a fresh `Point`, equal to any other read of the same
+        index.  Also fills the curve's `order` cache.  Refuses p > 2**20,
+        which bounds the table at 1 MiB.
         """
         self._require_enumerable()
         p = self.p
         is_square = bytearray(p)
         for y in range((p + 1) // 2):
             is_square[y * y % p] = 1
-        points = [self.infinity()]
+        xs, ys = array("L"), array("L")
         a, b = self.a, self.b
         for x in range(p):
             rhs = (x * x * x + a * x + b) % p
             if is_square[rhs]:
                 for y in FieldElement(rhs, p).sqrt():
-                    points.append(_point(self, (x, y)))
-        self._order = len(points)
-        return points
+                    xs.append(x)
+                    ys.append(y)
+        listing = _Listing(self, xs, ys)
+        self._order = len(listing)
+        return listing
 
     def order_of(self, point: Point) -> int:
         """Order of a point: the least m > 0 with m*point = infinity.
@@ -294,6 +302,37 @@ def _point(curve: Curve, xy: tuple[int, int] | None) -> Point:
     point.curve = curve
     point.x, point.y = xy or (None, None)
     return point
+
+
+class _Listing(Sequence):
+    """The points of a curve as `enumerate_points` lists them: infinity at
+    index 0, then (xs[i - 1], ys[i - 1]) at index i.  Reading an index or
+    iterating builds each `Point` by `_point`; a slice is a list."""
+
+    __slots__ = ("curve", "_xs", "_ys")
+
+    def __init__(self, curve: Curve, xs: array, ys: array):
+        self.curve, self._xs, self._ys = curve, xs, ys
+
+    def __len__(self) -> int:
+        return len(self._xs) + 1
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        size = len(self)
+        i = index + size if index < 0 else index
+        if not 0 <= i < size:
+            raise IndexError("point index out of range")
+        if i == 0:
+            return _point(self.curve, None)
+        return _point(self.curve, (self._xs[i - 1], self._ys[i - 1]))
+
+    def __iter__(self) -> Iterator[Point]:
+        curve = self.curve
+        yield _point(curve, None)
+        for xy in zip(self._xs, self._ys):
+            yield _point(curve, xy)
 
 
 class _Multiples:

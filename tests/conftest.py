@@ -13,8 +13,8 @@ import vectors
 
 
 @pytest.fixture(scope="session")
-def run_cli():
-    """Run `python -m eccipher ARGS...` as a child process in directory `cwd`.
+def cli_env():
+    """The environment of a `python -m eccipher` child process.
 
     The child gets the directory holding the `eccipher` package this test
     process imported at the front of its PYTHONPATH, so it runs the same code
@@ -24,6 +24,13 @@ def run_cli():
     package_root = str(Path(ec.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+    return env
+
+
+@pytest.fixture(scope="session")
+def run_cli(cli_env):
+    """Run `python -m eccipher ARGS...` as a child process in directory `cwd`,
+    in the environment `cli_env` gives."""
 
     def run(*args, cwd):
         return subprocess.run(
@@ -31,7 +38,7 @@ def run_cli():
             capture_output=True,
             text=True,
             cwd=cwd,
-            env=env,
+            env=cli_env,
         )
 
     return run

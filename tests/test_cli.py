@@ -665,6 +665,58 @@ def test_both_keys_to_one_pipe_are_written_through(run_cli, workdir):
     assert "kind = private\n" in result.stdout and "kind = public-general\n" in result.stdout
 
 
+def test_curve_points_into_a_pipe_closed_after_one_line_stops_quietly(cli_env, tmp_path,
+                                                                      monkeypatch):
+    # As `eccipher curve points ... | head -1`: E_16381(2,9) lists 16,473
+    # lines, far more than a pipe holds, so the child writes into the pipe
+    # after its reader has gone.  It stops as a writer killed by SIGPIPE
+    # would in a shell, with 141 and nothing on stderr.
+    monkeypatch.chdir(tmp_path)
+    alphabet = "".join(chr(0x4E00 + i) for i in range(16473))
+    assert cli.main(["curve", "init", "--p", "16381", "--a", "2", "--b", "9",
+                     "--base", "2,9880", "--alphabet", alphabet, "--out", "wide.ecff"]) == 0
+    child = subprocess.Popen([sys.executable, "-m", "eccipher", "curve", "points",
+                              "--curve", "wide.ecff"], cwd=tmp_path, env=cli_env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert child.stdout.readline() == b"inf\n"
+        child.stdout.close()
+        assert child.stderr.read() == b""
+        assert child.wait(timeout=120) == cli.STDOUT_CLOSED == 141
+    finally:
+        child.kill()
+        child.wait()
+        child.stderr.close()
+
+
+def _run_into_a_closed_pipe(cli_env, workdir, *args):
+    """Run the CLI with a stdout pipe whose reader has closed already: (exit, stderr)."""
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        result = subprocess.run([sys.executable, "-m", "eccipher", *args], cwd=workdir,
+                                env=cli_env, stdout=writer, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(writer)
+    return result.returncode, result.stderr
+
+
+def test_output_held_until_exit_into_a_closed_pipe_stops_quietly(cli_env, workdir):
+    # The demo's 43 lines stay in stdout's buffer until the command ends;
+    # the flush that then meets the closed pipe ends it quietly too.
+    assert _run_into_a_closed_pipe(cli_env, workdir, "curve", "points",
+                                   "--curve", "demo.ecff") == (141, "")
+
+
+def test_a_named_output_into_a_closed_pipe_is_a_data_error(cli_env, workdir):
+    # The pipe is reached through a path the command was given, so the
+    # error names that path, as any other failed output does.
+    assert _run_into_a_closed_pipe(cli_env, workdir, "keygen", "--curve", "demo.ecff",
+                                   "--seed", "9", "--out-private", "/dev/stdout",
+                                   "--out-public", "k.pub") == (
+        2, "error: [Errno 32] Broken pipe: '/dev/stdout'\n")
+
+
 @pytest.mark.parametrize("existing", [False, True])
 def test_keygen_takes_back_the_private_key_when_the_public_replace_fails(
     workdir, monkeypatch, capsys, existing

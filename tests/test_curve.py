@@ -4,6 +4,7 @@ and point orders."""
 import math
 import random
 import threading
+import tracemalloc
 
 import pytest
 
@@ -335,6 +336,42 @@ def test_enumeration_refuses_oversized_curve():
         curve.enumerate_points()
 
 
+@pytest.mark.parametrize("curve_name", ["e37", "e1009"])
+def test_enumeration_reads_like_the_list_of_its_points(curve_name, request):
+    # The listing is a sequence, not a list: every read builds a fresh
+    # Point, and indices and slices answer as the list of those Points.
+    curve = request.getfixturevalue(curve_name)
+    listed = curve.enumerate_points()
+    points = list(listed)
+    assert len(listed) == len(points) == curve.order
+    assert listed[0] == curve.infinity() and listed[0].is_infinity
+    assert listed[-1] == points[-1] and listed[-len(points)] == points[0]
+    for cut in (slice(None), slice(1, None, 3), slice(None, None, -1),
+                slice(-5, -1), slice(-1, 2, -7), slice(len(points), None)):
+        assert listed[cut] == points[cut], cut
+    for index in (len(points), -len(points) - 1):
+        with pytest.raises(IndexError):
+            listed[index]
+    assert points[7] in listed and curve.infinity() in listed
+    assert Curve(5, 1, 1).point(0, 1) not in listed
+    assert list(listed) == points and listed[7] is not listed[7]
+
+
+def test_enumeration_holds_coordinates_not_points():
+    # E_16381(2,9) has 16473 points.  The squares table takes p bytes; the
+    # rest of the peak is the two coordinate arrays, about 16 bytes a
+    # point, where a list of Points took over 100.
+    curve = Curve(16381, 2, 9)
+    tracemalloc.start()
+    try:
+        listed = curve.enumerate_points()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(listed) == 16473
+    assert (peak - curve.p) / len(listed) <= 32
+
+
 _SMALL_CURVES = [
     (p, a, b)
     for p in range(5, 300) if all(p % d for d in range(2, p))
@@ -495,7 +532,7 @@ def test_each_point_is_searched_once_on_an_enumerated_curve(p, a, b, searches):
     listed = curve.enumerate_points()
     first = [curve.order_of(point) for point in listed]
     assert [curve.order_of(point) for point in listed] == first
-    assert searches == listed
+    assert searches == list(listed)
     assert all(curve.order % n == 0 for n in first)
 
 

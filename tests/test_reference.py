@@ -158,7 +158,7 @@ def test_the_baby_step_core_answers_like_the_oracle(e37, e31, e1009, additions):
     stranger = e31.point(*vectors.ALT_BASE)
     for generator in (e37.point(5, 25), e37.point(9, 4), e37.infinity(), two, five):
         if generator.curve is e37:
-            targets = e37.enumerate_points() + [stranger]
+            targets = [*e37.enumerate_points(), stranger]
         else:
             targets = spans + points[::53] + [stranger]
         # The least k < n is the least k < 61 when that is below n.
