@@ -2,7 +2,10 @@
 
 Every general public key leaks alpha*C = K1 - K2 on a base C that many
 keys share, so breaking many keys means many logs to one base, and
-`ecdlp_bsgs` keeps the baby steps of its last generator (costs below).
+`ecdlp_bsgs` keeps the baby steps of its last generator: a first break
+costs about 1.5*sqrt(n) group additions, the next one T - m + 1 more baby
+steps plus its giant steps, and later ones at most ceil(n/(2T - 1)) giant
+steps, for m = ceil(sqrt(n)) and T = min(2**12, n).
 """
 
 from __future__ import annotations
@@ -19,16 +22,14 @@ def ecdlp_bsgs(generator: Point, target: Point, n: int) -> int | None:
     which changes no answer.
 
     The baby steps of the last generator are kept.  A call on a new
-    generator builds m = ceil(sqrt(n)) of them and takes up to about m/2
-    giant steps, each of 2m - 1 multiples, plus one addition to form that
-    stride: about 1.5*sqrt(n) group additions, as for a one-off solve.  A
-    call on an equal generator extends a kept table shorter than m to m.
-    Otherwise it takes its giant steps with the kept table, then spends
-    what they left of m additions, as the search counts them, on more
-    baby steps, up to T = min(2**12, n), unless the table already holds
-    every multiple of the generator.  So such a call makes at most m
-    additions, and once the table holds T steps each further key costs
-    about n/(2*(2T - 1)).
+    generator builds m = ceil(sqrt(n)) of them, in m + 1 additions with
+    the stride W = (2m - 1)*G, and takes up to about m/2 giant steps, each
+    across 2m - 1 multiples: about 1.5*sqrt(n) group additions, as for a
+    one-off solve.  A call on an equal generator first grows the kept
+    table to T = min(2**12, n) steps, at least m, unless the table already
+    holds every multiple of the generator, and then searches: the first
+    such call makes T - m + 1 additions to grow it, and each further key
+    costs at most ceil(n/(2T - 1)) giant steps.
     """
     if n <= 0:
         return None
@@ -38,15 +39,9 @@ def ecdlp_bsgs(generator: Point, target: Point, n: int) -> int | None:
     kept = _kept.walk
     if kept is None or kept.generator != generator:
         kept = _Multiples(generator, 0)
-    if len(kept.points) < m:
-        return _kept.grown(kept, m).log(target, n)[0]
-    k, spent = kept.log(target, n)
-    if kept.order is None:   # else every multiple is indexed
-        size = len(kept.points)
-        grown = min(_TABLE_CAP, n, size + m - spent)
-        if grown > size:
-            _kept.grown(kept, grown)
-    return k
+    elif kept.order is None:   # else every multiple is indexed
+        m = max(m, min(_TABLE_CAP, n))
+    return _kept.grown(kept, m).log(target, n)
 
 
 # The most baby steps a kept table grows to: about 1.4 MB of points and

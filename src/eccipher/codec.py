@@ -119,7 +119,7 @@ class CodeTable:
         walk = self._grown(len(points))
         symbols = []
         for point in points:
-            index, _ = walk.log(point, len(self._alphabet))
+            index = walk.log(point, len(self._alphabet))
             if index is None:
                 raise UnknownPointError(f"point {point} is not in the code table")
             symbols.append(self._alphabet[index])

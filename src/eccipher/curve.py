@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import threading
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
@@ -40,8 +41,8 @@ class Curve:
 
     def __init__(self, p, a, b):
         self.p = p if isinstance(p, Prime) else Prime(p)
-        self.a = a % self.p
-        self.b = b % self.p
+        self.a = operator.index(a) % self.p
+        self.b = operator.index(b) % self.p
         if (4 * self.a ** 3 + 27 * self.b ** 2) % self.p == 0:
             raise SingularCurveError(f"4a^3 + 27b^2 = 0 mod {self.p}: curve is singular")
         self._order = None
@@ -126,7 +127,7 @@ class Curve:
         """
         reach = _hasse_reach(self.p)
         low = self.p + 1 - reach
-        k, _ = _Multiples(point, isqrt(2 * reach) + 1).log(-(low * point), 2 * reach + 1)
+        k = _Multiples(point, isqrt(2 * reach) + 1).log(-(low * point), 2 * reach + 1)
         if k is None:
             raise AssertionError(f"no multiple of the order of {point} in the Hasse interval")
         return low + k
@@ -170,10 +171,11 @@ def _prime_factors(n: int) -> list[int]:
 class Point:
     """A curve point: affine coordinates, or the identity (infinity).
 
-    Point(curve) builds infinity; Point(curve, x, y) validates the
-    coordinates against the curve equation.  Group operations are the
-    chord-and-tangent law, whose one copy is `_chord` on coordinate pairs,
-    and their results are built by `_point`, which checks nothing:
+    Point(curve) builds infinity; Point(curve, x, y) takes int
+    coordinates, reduces them mod p and validates them against the curve
+    equation.  Group operations are the chord-and-tangent law, whose one
+    copy is `_chord` on coordinate pairs, and their results are built by
+    `_point`, which checks nothing:
 
         P + Q     point addition (doubling when P == Q), a checked `_chord`
         -P, P - Q negation and subtraction
@@ -192,8 +194,8 @@ class Point:
             self.x = None
             self.y = None
             return
-        x %= curve.p
-        y %= curve.p
+        x = operator.index(x) % curve.p
+        y = operator.index(y) % curve.p
         if not curve.is_on_curve(x, y):
             raise PointNotOnCurveError(f"({x},{y}) is not on {curve!r}")
         self.x = x
@@ -341,25 +343,26 @@ class _Multiples:
     `points[j]` is j*G and `stride` is m*G.  Negating a point is free, so
     `index` maps j*G to j and then -j*G to -j, for j = 0, 1, ..., m - 1,
     keeping a point's first entry: a window of 2m - 1 multiples, which
-    W = (2m - 1)*G from `window()` steps across.  `at` maps indices to
-    multiples by sums of W, and `log` multiples back by steps of -W.  The
-    first entry that a walked point, or m*G, meets again lies r from it,
-    where r is the order of G; `order` is then r, every multiple of G is
-    indexed and the walk indexes no more.  Otherwise `order` is None.  A
-    value is built whole and never changed but for `window()`'s idempotent
-    write; `extended` builds a longer one from copies, without W, so
-    threads sharing a value through `_Kept` each see all of an old or a
-    new one.  Both walks step on coordinate pairs with `_chord`, and
-    `_point` builds a `Point` only for each baby step kept, its negative,
-    the stride, and each giant step looked up.
+    `window`, W = (2m - 1)*G (None for m = 0), steps across.  `at` maps
+    indices to multiples by sums of W, and `log` multiples back by steps
+    of -W.  The first entry that a walked point, or m*G, meets again lies
+    r from it, where r is the order of G; `order` is then r, every
+    multiple of G is indexed and the walk indexes no more.  Otherwise
+    `order` is None.  A value is built whole, W included, in m + 1 group
+    additions (none for m = 0), and never written after; `extended`
+    builds a longer one from copies, so threads sharing a value through
+    `_Kept` each see all of an old or a new one.  Both walks step on
+    coordinate pairs with `_chord`, and `_point` builds a `Point` only for
+    each baby step kept, its negative, the stride, and each giant step
+    looked up.
     """
 
-    __slots__ = ("generator", "points", "index", "stride", "order", "_window")
+    __slots__ = ("generator", "points", "index", "stride", "order", "window")
 
     def __init__(self, generator: Point, m: int):
         self.generator = generator
         self.points, self.index, self.stride = [], {}, generator.curve.infinity()
-        self.order = self._window = None
+        self.order = None
         self._walk_to(m)
 
     def extended(self, m: int) -> _Multiples:
@@ -395,13 +398,7 @@ class _Multiples:
             if seen is not None:
                 order = len(points) - seen
         self.order = order
-
-    def window(self) -> Point:
-        """W = (2m - 1)*G, formed as stride + points[-1] on first need and
-        kept; two threads may both form it and keep equal points."""
-        if self._window is None:
-            self._window = self.stride + self.points[-1]
-        return self._window
+        self.window = self.stride + points[-1] if points else None
 
     def at(self, indices: Iterable[int]) -> list[Point]:
         """i*G for each index i >= 0: points[i], or t*W + d*G for the
@@ -417,13 +414,13 @@ class _Multiples:
             t, d = divmod(index + m - 1, 2 * m - 1)
             d -= m - 1
             while len(giants) < t:
-                giants.append(giants[-1] + giants[0] if giants else self.window())
+                giants.append(giants[-1] + giants[0] if giants else self.window)
             points.append(giants[t - 1] + (prefix[d] if d >= 0 else -prefix[-d]))
         return points
 
-    def log(self, target: Point, n: int) -> tuple[int | None, int]:
-        """(k, additions): the least k < n with k*G = target, or None, and the
-        group additions made in the search; an empty value finds none.
+    def log(self, target: Point, n: int) -> int | None:
+        """The least k < n with k*G = target, or None; an empty value finds
+        none.
 
         With the order r known, a dict hit d gives k = d mod r, and a miss
         means there is none.  Otherwise a hit j >= 0 is that k.  After a
@@ -431,12 +428,10 @@ class _Multiples:
         t = 1, 2, ... while the window t*(2m - 1) + d, |d| < m, starts
         below n.  The windows follow on from [0, m) without gaps, so the
         first hit is the least k, and a first hit at or past n means there
-        is none.  Each giant step is one addition, and so is forming W in
-        the search that finds it not yet formed; nothing else adds.
+        is none.  Each giant step is one addition; nothing else adds.
         """
         index = self.index
         k = index.get(target)
-        additions = 0
         if self.order is not None:
             if k is not None:
                 k %= self.order
@@ -446,9 +441,8 @@ class _Multiples:
             curve = self.generator.curve
             if 0 < m < n and (target.curve is curve or target.curve == curve):
                 p, a = curve.p, curve.a
-                formed = self._window is None
                 # Never infinity: an order r <= 2m - 1 is known once built.
-                step = _coordinates(-self.window())
+                step = _coordinates(-self.window)
                 width = 2 * m - 1
                 current = _coordinates(target)
                 for middle in range(width, n + m - 1, width):
@@ -457,20 +451,19 @@ class _Multiples:
                     if d is not None:
                         k = middle + d
                         break
-                # m < n, so the loop ran: t = middle // width steps.
-                additions = middle // width + formed
-        return (k if k is not None and k < n else None), additions
+        return k if k is not None and k < n else None
 
 
 class _Kept:
     """A `_Multiples` value that threads share and that only ever grows.
 
-    `walk` is the value kept, or None.  `grown` checks and extends it under
-    one lock and then keeps the result, so a thread that read an older,
-    shorter walk of the same generator extends the longer one kept since,
-    or keeps it; only a walk of another generator replaces it.  A caller
-    holding the kept walk, long enough already, gets it back without the
-    lock, as a value's one write, its window, is idempotent.
+    `walk`, the value kept or None, is the one mutable cell of the code
+    table's walk and of the key break's table.  `grown` checks and extends
+    it under one lock and then keeps the result, so a thread that read an
+    older, shorter walk of the same generator extends the longer one kept
+    since, or keeps it; only a walk of another generator replaces it.  A
+    caller holding the kept walk, long enough already, gets it back
+    without the lock, as a value is never written after it is built.
     """
 
     __slots__ = ("walk", "_lock")

@@ -10,6 +10,7 @@ squares, so every root it lists still comes from `FieldElement.sqrt`.
 from __future__ import annotations
 
 import functools
+import operator
 
 from ._messages import brief
 
@@ -49,11 +50,13 @@ class Prime(int):
     """A validated prime modulus p with 3 < p < 2**61.
 
     Subclasses int, so a Prime can be used directly wherever an integer
-    modulus is expected.  Validation happens once, at construction.
+    modulus is expected.  Validation happens once, at construction, and
+    refuses a value that is not an int, such as a float or str, with
+    TypeError.
     """
 
     def __new__(cls, value: int) -> Prime:
-        value = int(value)
+        value = operator.index(value)
         if value <= 3:
             raise ValueError(f"modulus must exceed 3, got {brief(value)}")
         if value.bit_length() > MAX_MODULUS_BITS:

@@ -52,6 +52,20 @@ def test_coefficients_are_plain_ints_in_range():
     assert type(curve.a) is int and type(curve.b) is int
 
 
+def test_non_int_parameters_and_coordinates_are_refused_at_construction(e37):
+    # Before, Curve(37.9, 2, 9) became E_37, and a float coefficient or
+    # coordinate was accepted, then failed in pow() at the first k * P.
+    for args in ((37.9, 2, 9), (37, 2.0, 9), (37, 2, 9.0), ("37", 2, 9), (37, "2", 9)):
+        with pytest.raises(TypeError):
+            Curve(*args)
+    for x, y in ((9.0, 4.0), (9, 4.0), (9.0, 4), ("9", 4)):
+        with pytest.raises(TypeError):
+            Point(e37, x, y)
+        with pytest.raises(TypeError):
+            e37.point(x, y)
+    assert Curve(37, True, 9).a == 1
+
+
 # -------------------------------------------------------------- membership
 
 def test_contains_affine_member(e37):
@@ -605,9 +619,9 @@ def test_threads_growing_a_shared_walk_through_its_order_get_every_log_right(e10
                     walk = kept.grown(walk, m)
                     assert len(walk.points) >= m
                     for k, target in enumerate(multiples):
-                        assert walk.log(target, 5)[0] == walk.log(target, 1060)[0] == k
-                        assert walk.log(target, k)[0] is None
-                    assert walk.log(outside, 1060)[0] is None
+                        assert walk.log(target, 5) == walk.log(target, 1060) == k
+                        assert walk.log(target, k) is None
+                    assert walk.log(outside, 1060) is None
         except Exception as exc:
             errors.append(exc)
 

@@ -38,6 +38,15 @@ def test_prime_rejects_small_characteristic():
             Prime(n)
 
 
+def test_prime_refuses_a_modulus_that_is_not_an_int():
+    # A float is not truncated to 37 and a str is not parsed; an int
+    # subclass such as bool or Prime itself is an int.
+    for value in (37.9, 37.0, "37"):
+        with pytest.raises(TypeError):
+            Prime(value)
+    assert Prime(Prime(37)) == 37 and type(Prime(37)) is Prime
+
+
 def test_prime_rejects_oversized_modulus():
     with pytest.raises(ValueError):
         Prime((1 << 62) + 135)  # prime, but beyond the width bound

@@ -7,7 +7,7 @@ import pytest
 
 import vectors
 from eccipher import Curve, attack, ecdlp_bsgs, ecdlp_exhaustive, slow_scalar_mul
-from eccipher.curve import _Multiples
+from eccipher.curve import _Kept, _Multiples
 
 
 def test_slow_scalar_mul_vector(e37):
@@ -140,12 +140,12 @@ def test_kept_baby_steps_answer_like_the_oracle(e37, e1009):
                 assert ecdlp_bsgs(generator, target, n) == expected, (generator, k, n)
 
 
-def test_the_baby_step_core_answers_like_the_oracle(e37, e31, e1009, additions):
+def test_the_baby_step_core_answers_like_the_oracle(e37, e31, e1009):
     # Fresh and extended cores, with m below and past the generator's order
     # (43, infinity's 1, and 2 and 5 on E_1009), give the oracle's least
-    # k < n for every bound and target, and report the additions each
-    # search made; extension keeps each least j, and both map the indices
-    # 0..60 to the multiples repeated addition gives.  The
+    # k < n for every bound and target; extension keeps each least j, and
+    # both map the indices 0..60 to the multiples repeated addition
+    # gives.  The
     # signed multiples of the order-5 generator meet at m = 4 (-2*G = 3*G);
     # on E_37 (order 43) the 43 of m = 22 are the group exactly, and those
     # of m = 30 meet.
@@ -173,32 +173,54 @@ def test_the_baby_step_core_answers_like_the_oracle(e37, e31, e1009, additions):
                 for target, k in least.items():
                     for n in range(61):
                         expected = k if k is not None and k < n else None
-                        additions.clear()
-                        found = core.log(target, n)
-                        assert found[0] == expected, (generator, m, target, n)
-                        assert found[1] == len(additions), (generator, m, target, n)
+                        assert core.log(target, n) == expected, (generator, m, target, n)
             assert len(start.points) == 1 and start.stride == generator
 
 
 def test_a_walk_forms_its_window_once(additions):
-    # The first search past the prefix forms W = (2m - 1)*G and then takes
-    # its t giant steps; a second search on the same walk takes the t steps
+    # Building the walk takes its m steps and forms W = (2m - 1)*G as it
+    # finishes: m + 1 additions.  Each search then takes its t giant steps
     # only, and `at` sums t*W + d*G from the same W: t - 1 giant sums and
-    # the final one.  Each search reports what the fixture counts.
+    # the final one.
     curve = Curve(16381, 2, 9)
     generator = curve.point(2, 9880)
     m, k = 129, 10000
     target = k * generator
     t = (k + m - 1) // (2 * m - 1)
+    additions.clear()
     core = _Multiples(generator, m)
-    for reported in (t + 1, t):
+    assert len(additions) == m + 1
+    assert core.window == slow_scalar_mul(2 * m - 1, generator)
+    for _ in range(2):
         additions.clear()
-        assert core.log(target, 16473) == (k, reported)
-        assert len(additions) == reported
+        assert core.log(target, 16473) == k
+        assert len(additions) == t
     additions.clear()
     assert core.at([k]) == [target]
     assert len(additions) == t
-    assert core.window() == slow_scalar_mul(2 * m - 1, generator)
+
+
+def test_a_walk_holds_its_window_from_the_moment_it_is_built(e37, e1009):
+    # Fresh and extended walks of every generator of the oracle test, the
+    # order-2 and order-5 ones of E_1009 included, hold W = (2m - 1)*G (None
+    # for m = 0) once built, and searches and index maps keep that object.
+    points = e1009.enumerate_points()
+    two = next(p for p in points[1:] if p.y == 0)
+    five = next(q for q in (212 * p for p in points) if not q.is_infinity)
+    for generator in (e37.point(5, 25), e37.point(9, 4), e37.infinity(), two, five):
+        target = 7 * generator
+        for m in range(31):
+            for core in (_Multiples(generator, m), _Multiples(generator, 1).extended(m),
+                         _Multiples(generator, m).extended(0)):
+                size = len(core.points)
+                held = core.window
+                if size:
+                    assert held == slow_scalar_mul(2 * size - 1, generator), (generator, m)
+                    core.at(range(61))
+                else:
+                    assert held is None
+                core.log(target, 61)
+                assert core.window is held
 
 
 def test_the_core_of_a_generator_of_order_two_alternates_with_infinity(e1009):
@@ -234,10 +256,10 @@ def test_a_core_whose_signed_multiples_meet_the_order_takes_no_giant_step(e37, e
             assert core.order == order
             additions.clear()
             for k, target in enumerate(multiples):
-                assert core.log(target, order)[0] == k
-                assert core.log(target, k)[0] is None
+                assert core.log(target, order) == k
+                assert core.log(target, k) is None
             if outside is not None:
-                assert core.log(outside, 10**6)[0] is None
+                assert core.log(outside, 10**6) is None
             assert additions == []
     # The key break keeps such a table as it is: growing it adds nothing.
     outside, three = _outside_span(e1009, five), 3 * five
@@ -251,20 +273,30 @@ def test_a_core_whose_signed_multiples_meet_the_order_takes_no_giant_step(e37, e
 
 
 def test_a_second_solve_on_one_base_takes_only_giant_steps(e1009, additions):
+    # The first solve builds m baby steps.  The second grows the table
+    # straight to T = min(2**12, n) = 530, which holds every multiple of
+    # the order-530 base, so it and every later solve, an equal base on a
+    # separate, equal curve included, take no giant step at all.
     base = e1009.point(*vectors.MID_BASE)
-    n = 530
+    n, cap = 530, 530
     m = math.isqrt(n - 1) + 1
     ecdlp_bsgs(2 * base, base, n)   # another generator takes the kept entry
     additions.clear()
     assert ecdlp_bsgs(base, 529 * base, n) == 529
     assert len(additions) > m   # the baby steps were built again
+    assert len(attack._kept.walk.points) == m
+    target = 17 * base
+    additions.clear()
+    assert ecdlp_bsgs(base, target, n) == 17
+    assert len(additions) == cap - m + 1
+    assert len(attack._kept.walk.points) == cap and attack._kept.walk.order == n
     twin = Curve(vectors.MID_P, vectors.MID_A, vectors.MID_B)
     for generator in (base, twin.point(*vectors.MID_BASE)):
         for k in (0, 17, 529):
             target = k * generator
             additions.clear()
             assert ecdlp_bsgs(generator, target, n) == k
-            assert len(additions) <= m
+            assert additions == []
 
 
 def test_a_bound_past_the_group_builds_no_more_baby_steps_than_hasse_allows(e37, e1009,
@@ -299,21 +331,18 @@ def test_repeat_solves_grow_the_kept_table_to_its_cap(additions):
     additions.clear()
     assert ecdlp_bsgs(generator, targets[0][1], n) == targets[0][0]
     assert len(attack._kept.walk.points) == m
-    assert m <= len(additions) < 2 * m
+    assert m < len(additions) < 2 * m   # m + 1 to build, then the giant steps
     sizes = [m]
+    giant = -(-n // (2 * cap - 1))
     for k, target in targets[1:]:
         additions.clear()
         assert ecdlp_bsgs(generator, target, n) == k
-        size = len(attack._kept.walk.points)
-        assert len(additions) <= m
-        if size < cap:
-            # Below the cap, the giant steps and the new baby steps spend
-            # exactly the budget of m additions.
-            assert len(additions) == m
-        sizes.append(size)
-    assert sizes == sorted(sizes)
-    assert sizes[-1] == cap
-    assert sizes.index(cap) < len(sizes) - 10
+        # The second call grows the table to the cap in cap - m + 1
+        # additions; every call then takes at most `giant` giant steps.
+        grown = cap - m + 1 if len(sizes) == 1 else 0
+        assert grown <= len(additions) <= grown + giant
+        sizes.append(len(attack._kept.walk.points))
+    assert sizes == [m] + [cap] * (len(targets) - 1)
     for k in (0, 1, 4095, 4096, n // 2, n - 1):
         target = k * generator
         additions.clear()
@@ -330,21 +359,24 @@ def test_repeat_solves_grow_the_kept_table_to_its_cap(additions):
 def test_repeat_solves_on_a_target_of_another_curve_spend_their_budget_on_baby_steps(
         additions):
     # A target off the generator's curve is answered before any giant step,
-    # so each further call spends all of its m = ceil(sqrt(n)) additions on
-    # baby steps, and the kept table grows by m each time.
+    # so the first call spends only the m + 1 additions of a fresh table of
+    # m = ceil(sqrt(n)) baby steps, the second only the cap - m + 1 that
+    # grow it to T = min(2**12, n), and later ones none.
     curve = Curve(16381, 2, 9)
     generator = curve.point(2, 9880)
-    n, m = 16473, 129
+    n, m, cap = 16473, 129, 4096
     stranger = Curve(16381, 3, 9).enumerate_points()[1]
     ecdlp_bsgs(2 * generator, generator, n)   # another generator takes the kept entry
+    additions.clear()
     assert ecdlp_bsgs(generator, stranger, n) is None
+    assert len(additions) == m + 1
     sizes = [len(attack._kept.walk.points)]
-    for _ in range(3):
+    for spent in (cap - m + 1, 0, 0):
         additions.clear()
         assert ecdlp_bsgs(generator, stranger, n) is None
-        assert len(additions) == m
+        assert len(additions) == spent
         sizes.append(len(attack._kept.walk.points))
-    assert sizes == [m, 2 * m, 3 * m, 4 * m]
+    assert sizes == [m, cap, cap, cap]
 
 
 def test_threads_racing_on_different_generators_get_the_oracles_answers(e1009, race):
@@ -407,26 +439,25 @@ def test_threads_sharing_a_generator_while_its_table_grows_get_the_oracles_answe
 
 def test_a_thread_that_read_an_older_table_keeps_the_longer_one_grown_meanwhile(
         e1009, monkeypatch):
-    # Thread A solves with the kept table of 24 baby steps, which leaves it
-    # 36 to grow to, and is held after its giant steps until this thread
-    # has grown the same table to 48; A must then keep the 48, not replace
-    # them with its own 36.
+    # Thread A finds another generator's table kept, so it holds a fresh
+    # walk of the base, to be built to m = 24 baby steps, and is held before
+    # it reaches the holder until this thread has built the base's table
+    # and grown it to T = 530; A must then keep and search the 530, not
+    # replace them with its own 24.
     base = e1009.point(*vectors.MID_BASE)
     n = 530
     ecdlp_bsgs(2 * base, base, n)   # another generator takes the kept entry
-    assert ecdlp_bsgs(base, 5 * base, n) == 5
-    assert len(attack._kept.walk.points) == 24
-    solved, grown = threading.Event(), threading.Event()
-    log = _Multiples.log
-    errors = []
+    read, released = threading.Event(), threading.Event()
+    grown = _Kept.grown
+    errors, asked = [], []
 
-    def held_log(self, target, bound):
-        found = log(self, target, bound)
+    def held_grown(self, walk, m):
         if threading.current_thread() is held:
-            solved.set()
-            if not grown.wait(timeout=60):
-                raise TimeoutError("the table was never grown")
-        return found
+            asked.append((walk.generator == base, len(walk.points), m))
+            read.set()
+            if not released.wait(timeout=60):
+                raise TimeoutError("the thread was never released")
+        return grown(self, walk, m)
 
     def worker():
         try:
@@ -434,26 +465,29 @@ def test_a_thread_that_read_an_older_table_keeps_the_longer_one_grown_meanwhile(
         except Exception as exc:
             errors.append(exc)
 
-    monkeypatch.setattr(_Multiples, "log", held_log)
+    monkeypatch.setattr(_Kept, "grown", held_grown)
     held = threading.Thread(target=worker)
     held.start()
     try:
-        assert solved.wait(timeout=60)
+        assert read.wait(timeout=60)
+        assert ecdlp_bsgs(base, 5 * base, n) == 5
+        assert len(attack._kept.walk.points) == 24
         assert ecdlp_bsgs(base, base, n) == 1
-        assert len(attack._kept.walk.points) == 48
+        longer = attack._kept.walk
+        assert len(longer.points) == 530
     finally:
-        grown.set()
+        released.set()
         held.join(timeout=60)
     assert not held.is_alive()
     assert errors == []
-    assert len(attack._kept.walk.points) == 48
+    assert asked == [(True, 0, 24)]
+    assert attack._kept.walk is longer
 
 
 def test_threads_racing_on_a_fresh_walk_get_the_oracles_answers(e1009, race):
     # Threads share one fresh walk, not through `_Kept`, and race their
-    # first searches and index maps, so each may find its window unformed
-    # and form it; every answer must still be the oracle's, and the walk
-    # keeps (2m - 1)*G.
+    # first searches and index maps; every answer must still be the
+    # oracle's, and the walk keeps the window (2m - 1)*G it was built with.
     base = e1009.point(*vectors.MID_BASE)
     n, m = 530, 8
     targets = [k * base for k in (0, 7, 8, 100, 263, 529)] + [_outside_span(e1009, base)]
@@ -469,7 +503,7 @@ def test_threads_racing_on_a_fresh_walk_get_the_oracles_answers(e1009, race):
             for searching in (searching_first, not searching_first):
                 if searching:
                     for target, expected in logs:
-                        assert core.log(target, n)[0] == expected
+                        assert core.log(target, n) == expected
                 else:
                     assert core.at(indices) == multiples
         except Exception as exc:
@@ -477,7 +511,9 @@ def test_threads_racing_on_a_fresh_walk_get_the_oracles_answers(e1009, race):
 
     for _ in range(20):
         core = _Multiples(base, m)
+        held = core.window
+        assert held == window
         start = threading.Barrier(4)
         race(worker, [(start, core, first) for first in (True, False, True, False)])
-        assert core.window() == window
+        assert core.window is held
     assert errors == []
