@@ -48,8 +48,8 @@ class CodeTable:
     from_generator: a batch of d symbols grows it to
     min(N, ceil(sqrt(d * N))), which keeps the batch near 1.5*sqrt(d * N)
     group additions, and a single symbol to ceil(sqrt(N)); at m = N it is
-    the whole table.  The walk is kept in a `curve._Kept`, which only ever
-    keeps a longer one, so readers sharing a table see an old or a new
+    the whole table.  The walk is kept in the table's own `curve._Kept`
+    of G, which only ever keeps a longer one, so readers sharing a table see an old or a new
     prefix, never a half-built one.  No result depends on which.
     """
 
@@ -69,7 +69,7 @@ class CodeTable:
         table.curve = curve
         table._alphabet = alphabet
         table._index_of_symbol = _positions(alphabet)
-        table._kept = _Kept(_Multiples(generator, 0))
+        table._kept = _Kept(generator)
         size = len(alphabet)
         order = curve.order_of(generator)
         if order < size:
@@ -91,9 +91,9 @@ class CodeTable:
         return len(self._alphabet)
 
     def _grown(self, batch: int) -> _Multiples:
-        """The walk, first extended to min(N, ceil(sqrt(batch * N))) multiples."""
+        """The walk, first grown to min(N, ceil(sqrt(batch * N))) multiples."""
         size = len(self._alphabet)
-        return self._kept.grown(self._kept.walk, min(size, _ceil_sqrt(batch * size)))
+        return self._kept.grown(min(size, _ceil_sqrt(batch * size)))
 
     def encode_symbol(self, symbol: str) -> Point:
         index = self._index_of_symbol.get(symbol)

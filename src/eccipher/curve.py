@@ -348,37 +348,31 @@ class _Multiples:
     of -W.  The first entry that a walked point, or m*G, meets again lies
     r from it, where r is the order of G; `order` is then r, every
     multiple of G is indexed and the walk indexes no more.  Otherwise
-    `order` is None.  A value is built whole, W included, in m + 1 group
-    additions (none for m = 0), and never written after; `extended`
-    builds a longer one from copies, so threads sharing a value through
-    `_Kept` each see all of an old or a new one.  Both walks step on
-    coordinate pairs with `_chord`, and `_point` builds a `Point` only for
-    each baby step kept, its negative, the stride, and each giant step
-    looked up.
+    `order` is None.
+
+    A value is built whole, W included, and never written after.  Built
+    from `start`, a walk of the same generator, it walks on from copies
+    of start's points, index, stride and order to max(m, len(start.points))
+    multiples, and start is left as it was; so threads sharing walks
+    through `_Kept` each see all of an old or a new one.  Building takes
+    one addition per new multiple and one for W (none for m = 0).  Both
+    walks step on coordinate pairs with `_chord`, and `_point` builds a
+    `Point` only for each baby step kept, its negative, the stride, and
+    each giant step looked up.
     """
 
     __slots__ = ("generator", "points", "index", "stride", "order", "window")
 
-    def __init__(self, generator: Point, m: int):
-        self.generator = generator
-        self.points, self.index, self.stride = [], {}, generator.curve.infinity()
-        self.order = None
-        self._walk_to(m)
-
-    def extended(self, m: int) -> _Multiples:
-        """The first max(m, len(points)) multiples, as a new value."""
-        longer = _Multiples(self.generator, 0)
-        longer.points, longer.index = self.points.copy(), self.index.copy()
-        longer.stride, longer.order = self.stride, self.order
-        longer._walk_to(m)
-        return longer
-
-    def _walk_to(self, m: int) -> None:
-        points, index, order = self.points, self.index, self.order
-        curve = self.generator.curve
+    def __init__(self, generator: Point, m: int, start: _Multiples | None = None):
+        curve = generator.curve
+        if start is None:
+            points, index, stride, order = [], {}, curve.infinity(), None
+        else:
+            points, index = start.points.copy(), start.index.copy()
+            stride, order = start.stride, start.order
         p, a = curve.p, curve.a
-        step = _coordinates(self.generator)
-        current = _coordinates(self.stride)
+        step = _coordinates(generator)
+        current = _coordinates(stride)
         for j in range(len(points), m):
             point = _point(curve, current)
             points.append(point)
@@ -391,14 +385,15 @@ class _Multiples:
                     if seen != -j:
                         order = seen + j
             current = _chord(p, a, current, step)
-        self.stride = _point(curve, current)
+        stride = _point(curve, current)
         if order is None:
             # m*G = -(m - 1)*G: the 2m - 1 signed multiples are all of them.
-            seen = index.get(self.stride)
+            seen = index.get(stride)
             if seen is not None:
                 order = len(points) - seen
-        self.order = order
-        self.window = self.stride + points[-1] if points else None
+        self.generator, self.points, self.index = generator, points, index
+        self.stride, self.order = stride, order
+        self.window = stride + points[-1] if points else None
 
     def at(self, indices: Iterable[int]) -> list[Point]:
         """i*G for each index i >= 0: points[i], or t*W + d*G for the
@@ -455,34 +450,29 @@ class _Multiples:
 
 
 class _Kept:
-    """A `_Multiples` value that threads share and that only ever grows.
+    """The walk of one generator, shared by threads, that only ever grows.
 
-    `walk`, the value kept or None, is the one mutable cell of the code
-    table's walk and of the key break's table.  `grown` checks and extends
-    it under one lock and then keeps the result, so a thread that read an
-    older, shorter walk of the same generator extends the longer one kept
-    since, or keeps it; only a walk of another generator replaces it.  A
-    caller holding the kept walk, long enough already, gets it back
-    without the lock, as a value is never written after it is built.
+    `walk`, a `_Multiples` of the generator, is the one mutable cell of a
+    code table and of the key break's table; it starts empty.  `grown(m)`
+    returns the kept walk.  A walk shorter than m is first re-read under
+    the lock and, if still short, replaced by a longer one built from it,
+    so the kept walk never gets shorter, however threads race to grow it.
+    A walk long enough already comes back without the lock, as a value is
+    never written after it is built.
     """
 
     __slots__ = ("walk", "_lock")
 
-    def __init__(self, walk: _Multiples | None = None):
-        self.walk = walk
+    def __init__(self, generator: Point):
+        self.walk = _Multiples(generator, 0)
         self._lock = threading.Lock()
 
-    def grown(self, walk: _Multiples, m: int) -> _Multiples:
-        """`walk`, or the kept walk if its generator is equal, extended to at
-        least m multiples, kept and returned."""
-        if walk is self.walk and len(walk.points) >= m:
-            return walk
-        with self._lock:
-            kept = self.walk
-            # A caller holding the kept walk itself compares no points.
-            if kept is not walk and kept is not None and kept.generator == walk.generator:
-                walk = kept
-            if len(walk.points) < m:
-                walk = walk.extended(m)
-            self.walk = walk
+    def grown(self, m: int) -> _Multiples:
+        """The kept walk, first grown to at least m multiples."""
+        walk = self.walk
+        if len(walk.points) < m:
+            with self._lock:
+                walk = self.walk
+                if len(walk.points) < m:
+                    walk = self.walk = _Multiples(walk.generator, m, walk)
         return walk

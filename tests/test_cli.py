@@ -143,10 +143,10 @@ def test_curve_init_leaves_the_key_break_table_alone(tmp_path, monkeypatch, caps
     # The setup's own code table answers whether C is in it, so curve init
     # builds no key-break table.
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(attack._kept, "walk", None)
+    monkeypatch.setattr(attack, "_kept", None)
     assert cli.main(["curve", "init", *CURVE_ARGS, "--out", "demo.ecff"]) == 0
     assert capsys.readouterr() == ("group order = 43\nbase point order = 43\n", "")
-    assert attack._kept.walk is None
+    assert attack._kept is None
 
 
 _E65537 = Curve(65537, 2, 3)
@@ -1007,6 +1007,114 @@ def test_a_wide_command_indexes_its_alphabet_once(tmp_path, monkeypatch, capsys)
         assert (info.misses, info.hits) == (1, 1)
 
 
+# ------------------------------------------------------------------ fuzzing
+
+_DEMO_FILES = ("demo.ecff", "alice.priv", "alice.pub", "bob.priv", "bob.pub",
+               "alice_for_bob.spec", "bob_for_alice.spec")
+_FUZZ_COMMANDS = (
+    ("curve", "init", *CURVE_ARGS, "--out", "c.ecff"),
+    ("curve", "points", "--curve", "demo.ecff"),
+    ("keygen", "--curve", "demo.ecff", "--seed", "1",
+     "--out-private", "x.priv", "--out-public", "x.pub"),
+    ("keygen", "--curve", "demo.ecff", "--alpha", "5", "--point", "10,20",
+     "--out-private", "x.priv", "--out-public", "x.pub"),
+    ("derive-specific", "--private", "alice.priv", "--peer-public", "bob.pub",
+     "--issuer", "alice", "--audience", "bob", "--out", "x.spec"),
+    ("encrypt", "--private", "bob.priv", "--peer-public", "alice.pub",
+     "--peer-specific", "alice_for_bob.spec", "--message", "attack", "--gammas", "8,12,19,2,3,23"),
+    ("encrypt", "--private", "bob.priv", "--peer-public", "alice.pub",
+     "--peer-specific", "alice_for_bob.spec", "--message", "meet#at#9!", "--seed", "3"),
+    ("decrypt", "--private", "alice.priv", "--peer-public", "bob.pub",
+     "--peer-specific", "bob_for_alice.spec", "--cipher", "b5cl#jvb7p@f"),
+)
+_FUZZ_VALUES = ("", "0", "-1", "1", "2", "36", "37", "43", "44", "1009", "9" * 40, "x",
+                "1.5", "inf", "9,4", "5,25", "0,0", "1,2,3", " 7", "é", "a\x00b", "*ab",
+                "8,12", "ab", "b5cl", "一丁")
+
+
+def _fuzz_value(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return str(rng.randint(-50, 1100))
+    if kind == 1:
+        return f"{rng.randint(-2, 40)},{rng.randint(-2, 40)}"
+    if kind == 2:
+        return rng.choice(_FUZZ_VALUES)
+    return "".join(rng.choice(DEFAULT_ALPHABET + "AZ,-= é")
+                   for _ in range(rng.randint(0, 12)))
+
+
+def _fuzzed_file(rng, data):
+    # One to three line edits: a value replaced, a byte changed, a line cut
+    # short, dropped, repeated or swapped with another.
+    lines = data.split(b"\n")
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        line = lines[i]
+        edit = rng.randrange(6)
+        if edit == 0:
+            key, sep, _ = line.partition(b" = ")
+            lines[i] = key + sep + _fuzz_value(rng).encode()
+        elif edit == 1:
+            at = rng.randrange(len(line) + 1)
+            lines[i] = line[:at] + bytes([rng.choice(b"09=-, \r\t\xff\x00")]) + line[at + 1:]
+        elif edit == 2:
+            lines[i] = line[:rng.randrange(len(line) + 1)]
+        elif edit == 3 and len(lines) > 1:
+            del lines[i]
+        elif edit == 4:
+            lines.insert(i, lines[j])
+        else:
+            lines[i], lines[j] = lines[j], line
+    return b"\n".join(lines)
+
+
+def test_fuzzed_key_files_and_arguments_never_fail_partway(tmp_path, monkeypatch, capsys):
+    # Seeded in-process runs of every command, on the demo's key files
+    # with one to three lines changed or with random argument values: each
+    # exits 0, 1 or 2 (argparse's SystemExit counts as its code), raises
+    # nothing else, and prints no result before a failing exit.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["curve", "init", *CURVE_ARGS, "--out", "demo.ecff"]) == 0
+    for name, alpha, point in (("alice", "5", "10,20"), ("bob", "7", "11,20")):
+        assert cli.main(["keygen", "--curve", "demo.ecff", "--alpha", alpha, "--point", point,
+                         "--out-private", f"{name}.priv", "--out-public", f"{name}.pub"]) == 0
+    for own, peer in (("alice", "bob"), ("bob", "alice")):
+        assert cli.main(["derive-specific", "--private", f"{own}.priv",
+                         "--peer-public", f"{peer}.pub", "--issuer", own, "--audience", peer,
+                         "--out", f"{own}_for_{peer}.spec"]) == 0
+    capsys.readouterr()
+    originals = {name: Path(name).read_bytes() for name in _DEMO_FILES}
+    rng = random.Random(7)
+    codes = []
+    for run in range(400):
+        for name, data in originals.items():
+            Path(name).write_bytes(data)
+        argv = list(rng.choice(_FUZZ_COMMANDS))
+        if run % 2:
+            inputs = [name for name in _DEMO_FILES if name in argv] or list(_DEMO_FILES)
+            name = rng.choice(inputs)
+            mutated = _fuzzed_file(rng, originals[name])
+            Path(name).write_bytes(mutated)
+            case = (argv, name, mutated)
+        else:
+            for _ in range(rng.randint(1, 3)):
+                at = rng.choice([i for i, arg in enumerate(argv) if arg.startswith("--")])
+                argv[at + 1] = _fuzz_value(rng)
+            case = argv
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            raise AssertionError(case) from exc
+        out, _ = capsys.readouterr()
+        assert code in (0, 1, 2), case
+        assert code == 0 or out == "", case
+        codes.append(code)
+    assert set(codes) == {0, 1, 2}
+
+
 # --------------------------------------------------------------- key break
 
 def test_the_public_files_alone_break_both_keys_and_the_message(tmp_path, monkeypatch, capsys):
@@ -1039,13 +1147,13 @@ def test_the_public_files_alone_break_both_keys_and_the_message(tmp_path, monkey
     assert n == 43
     attack.ecdlp_bsgs(setup.table_point, base, n)   # another generator takes the kept entry
     built = []
-    build = attack._Multiples
+    build = attack._Kept
 
-    def counting_build(generator, m):
+    def counting_build(generator):
         built.append(generator)
-        return build(generator, m)
+        return build(generator)
 
-    monkeypatch.setattr(attack, "_Multiples", counting_build)
+    monkeypatch.setattr(attack, "_Kept", counting_build)
     recovered = {}
     for name in ("alice", "bob"):
         _, public = keyfile.parse_general_public_key(text(f"{name}.pub"))

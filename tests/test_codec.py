@@ -240,6 +240,21 @@ def test_a_batch_costs_a_prefix_and_giant_steps_not_the_whole_walk(additions):
     assert points == [alphabet.index(symbol) * generator for symbol in message]
 
 
+def test_a_whole_demo_table_encodes_by_list_reads(additions):
+    # A 43-point decode batch grows the demo table's walk to all 43
+    # multiples, though 22 already tell it the order.  An encode is then a
+    # list read per symbol, with no group addition; a walk stopped at the
+    # order would sum a window, and negate, for each symbol past it.
+    generator = _CURVE.point(*vectors.TABLE_POINT)
+    table = CodeTable.from_generator(_CURVE, generator)
+    multiples = [slow_scalar_mul(i, generator) for i in range(43)]
+    assert table.decode_message(multiples) == DEFAULT_ALPHABET
+    assert len(table._kept.walk.points) == 43
+    additions.clear()
+    assert table.encode_message(DEFAULT_ALPHABET) == multiples
+    assert additions == []
+
+
 @pytest.mark.parametrize("p, a, b, generator, alphabet, order", [
     # (2,23365) generates 65386 points of E_65537(2,3), far more than 43.
     pytest.param(65537, 2, 3, (2, 23365), DEFAULT_ALPHABET, 65386, id="E65537-default"),

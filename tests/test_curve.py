@@ -16,9 +16,11 @@ from eccipher import (
     Point,
     PointNotOnCurveError,
     SingularCurveError,
+    attack,
+    ecdlp_bsgs,
     slow_scalar_mul,
 )
-from eccipher.curve import _chord, _Kept, _Multiples
+from eccipher.curve import _chord, _Kept
 
 
 # ------------------------------------------------------------ construction
@@ -568,34 +570,46 @@ def test_threads_sharing_a_curve_get_every_order_right(race):
     assert all(curve.order_of(pt) == expected[pt] for pt in points)
 
 
-def test_a_kept_walk_only_grows_until_another_generator_replaces_it(e37):
-    # The holder the code table and the key break share, without threads:
-    # a caller holding a shorter walk of the kept generator gets the kept
-    # walk back, an equal generator on a separate, equal curve counts as
-    # the same, and only a walk of another generator replaces it.
+def test_a_kept_walk_only_grows_until_another_generator_replaces_it(e37, monkeypatch):
+    # The holder a code table and the key break each keep, without threads:
+    # it holds one generator's walk, starting empty, hands a long enough
+    # walk back and replaces a shorter one by a longer walk built from it.
+    # The key break keeps its holder for an equal generator on a separate,
+    # equal curve, and only a break on another generator replaces it.
     generator, other = e37.point(5, 25), e37.point(9, 4)
     twin = Curve(vectors.P, vectors.A, vectors.B).point(5, 25)
-    kept = _Kept()
-    short = _Multiples(generator, 3)
-    longer = kept.grown(short, 10)
+    kept = _Kept(generator)
+    empty = kept.walk
+    assert empty.generator is generator and empty.points == []
+    longer = kept.grown(10)
     assert kept.walk is longer and len(longer.points) == 10
-    assert len(short.points) == 3
-    for caller, m in ((short, 5), (_Multiples(twin, 0), 4), (longer, 1), (short, 10)):
-        assert kept.grown(caller, m) is longer
-    longest = kept.grown(short, 12)
+    assert empty.points == []
+    for m in (0, 1, 5, 10):
+        assert kept.grown(m) is longer
+    longest = kept.grown(12)
     assert kept.walk is longest and longest.points[:10] == longer.points
     assert longest.points == [j * generator for j in range(12)]
-    replaced = kept.grown(_Multiples(other, 2), 2)
-    assert kept.walk is replaced and replaced.generator == other
-    assert replaced.points == [j * other for j in range(2)]
-    again = kept.grown(short, 4)
-    assert kept.walk is again and again.points == [j * generator for j in range(4)]
+    assert len(longer.points) == 10
+    monkeypatch.setattr(attack, "_kept", None)
+    assert ecdlp_bsgs(generator, 3 * generator, 43) == 3
+    holder = attack._kept
+    assert holder.walk.generator == generator and len(holder.walk.points) == 7
+    assert ecdlp_bsgs(twin, 5 * twin, 43) == 5
+    assert attack._kept is holder and len(holder.walk.points) == 43
+    assert ecdlp_bsgs(other, 2 * other, 43) == 2
+    replaced = attack._kept
+    assert replaced is not holder and replaced.walk.generator == other
+    assert replaced.walk.points == [j * other for j in range(7)]
+    assert ecdlp_bsgs(twin, 4 * twin, 43) == 4
+    again = attack._kept
+    assert again not in (holder, replaced) and again.walk.generator == generator
+    assert again.walk.points == [j * generator for j in range(7)]
 
 
 def test_threads_growing_a_shared_walk_through_its_order_get_every_log_right(e1009, race):
-    # Threads grow fresh shared walks of an order-5 generator from 1 to 4
-    # multiples, each to its own sizes from the walk it last held, and take
-    # logs with each walk they get back.  On the way a walk meets the
+    # Threads grow fresh shared walks of an order-5 generator from none to
+    # 4 multiples, each to its own sizes, and take logs with each walk they
+    # get back.  On the way a walk meets the
     # order, when its stride 3*G (m = 3) or its baby step 3*G (m = 4) is
     # -2*G: every answer must be the one repeated addition gives, and each
     # walk ends with 4 multiples and the order.
@@ -605,7 +619,7 @@ def test_threads_growing_a_shared_walk_through_its_order_get_every_log_right(e10
     multiples = [e1009.infinity()]
     for _ in range(4):
         multiples.append(multiples[-1] + five)
-    kepts = [_Kept(_Multiples(five, 1)) for _ in range(40)]
+    kepts = [_Kept(five) for _ in range(40)]
     plans = [(1, 2, 3, 4), (4,), (3, 2), (2, 4, 3), (2,)]
     start = threading.Barrier(len(plans))
     errors = []
@@ -614,9 +628,8 @@ def test_threads_growing_a_shared_walk_through_its_order_get_every_log_right(e10
         try:
             start.wait(timeout=60)
             for kept in kepts:
-                walk = kept.walk
                 for m in sizes:
-                    walk = kept.grown(walk, m)
+                    walk = kept.grown(m)
                     assert len(walk.points) >= m
                     for k, target in enumerate(multiples):
                         assert walk.log(target, 5) == walk.log(target, 1060) == k

@@ -166,7 +166,7 @@ def test_the_baby_step_core_answers_like_the_oracle(e37, e31, e1009):
         multiples = [slow_scalar_mul(i, generator) for i in range(61)]
         for m in (1, 2, 3, 4, 7, 12, 22, 30):
             start = _Multiples(generator, 1)
-            for core in (_Multiples(generator, m), start.extended(m)):
+            for core in (_Multiples(generator, m), _Multiples(generator, m, start)):
                 assert core.points == [slow_scalar_mul(j, generator) for j in range(m)]
                 assert core.stride == m * generator
                 assert core.at(range(61)) == multiples, (generator, m)
@@ -210,8 +210,9 @@ def test_a_walk_holds_its_window_from_the_moment_it_is_built(e37, e1009):
     for generator in (e37.point(5, 25), e37.point(9, 4), e37.infinity(), two, five):
         target = 7 * generator
         for m in range(31):
-            for core in (_Multiples(generator, m), _Multiples(generator, 1).extended(m),
-                         _Multiples(generator, m).extended(0)):
+            for core in (_Multiples(generator, m),
+                         _Multiples(generator, m, _Multiples(generator, 1)),
+                         _Multiples(generator, 0, _Multiples(generator, m))):
                 size = len(core.points)
                 held = core.window
                 if size:
@@ -228,7 +229,7 @@ def test_the_core_of_a_generator_of_order_two_alternates_with_infinity(e1009):
     # and every m past the order repeats the two points.
     two = next(point for point in e1009.enumerate_points()[1:] if point.y == 0)
     for m in range(1, 7):
-        for core in (_Multiples(two, m), _Multiples(two, 1).extended(m)):
+        for core in (_Multiples(two, m), _Multiples(two, m, _Multiples(two, 1))):
             assert core.points == [slow_scalar_mul(j, two) for j in range(m)]
             assert core.stride == slow_scalar_mul(m, two)
             infinity = e1009.infinity()
@@ -251,8 +252,8 @@ def test_a_core_whose_signed_multiples_meet_the_order_takes_no_giant_step(e37, e
                         (generator, 30, 43)):
         multiples = [slow_scalar_mul(k, g) for k in range(order)]
         outside = _outside_span(g.curve, g) if g.curve is e1009 else None
-        for core in (_Multiples(g, m), _Multiples(g, 1).extended(m),
-                     _Multiples(g, 2 * order).extended(3 * order)):
+        for core in (_Multiples(g, m), _Multiples(g, m, _Multiples(g, 1)),
+                     _Multiples(g, 3 * order, _Multiples(g, 2 * order))):
             assert core.order == order
             additions.clear()
             for k, target in enumerate(multiples):
@@ -439,25 +440,26 @@ def test_threads_sharing_a_generator_while_its_table_grows_get_the_oracles_answe
 
 def test_a_thread_that_read_an_older_table_keeps_the_longer_one_grown_meanwhile(
         e1009, monkeypatch):
-    # Thread A finds another generator's table kept, so it holds a fresh
-    # walk of the base, to be built to m = 24 baby steps, and is held before
-    # it reaches the holder until this thread has built the base's table
-    # and grown it to T = 530; A must then keep and search the 530, not
-    # replace them with its own 24.
+    # Thread A finds another generator's table kept, so it keeps a fresh
+    # holder of the base, to be grown to m = 24 baby steps, and is held
+    # before it grows it until this thread has grown the same holder to
+    # T = 530; A must then search the 530, not replace them with its own 24.
     base = e1009.point(*vectors.MID_BASE)
     n = 530
     ecdlp_bsgs(2 * base, base, n)   # another generator takes the kept entry
     read, released = threading.Event(), threading.Event()
     grown = _Kept.grown
-    errors, asked = [], []
+    errors, asked, searched = [], [], []
 
-    def held_grown(self, walk, m):
-        if threading.current_thread() is held:
-            asked.append((walk.generator == base, len(walk.points), m))
-            read.set()
-            if not released.wait(timeout=60):
-                raise TimeoutError("the thread was never released")
-        return grown(self, walk, m)
+    def held_grown(self, m):
+        if threading.current_thread() is not held:
+            return grown(self, m)
+        asked.append((self is attack._kept, self.walk.generator == base, len(self.walk.points), m))
+        read.set()
+        if not released.wait(timeout=60):
+            raise TimeoutError("the thread was never released")
+        searched.append(grown(self, m))
+        return searched[-1]
 
     def worker():
         try:
@@ -470,18 +472,20 @@ def test_a_thread_that_read_an_older_table_keeps_the_longer_one_grown_meanwhile(
     held.start()
     try:
         assert read.wait(timeout=60)
+        holder = attack._kept
         assert ecdlp_bsgs(base, 5 * base, n) == 5
-        assert len(attack._kept.walk.points) == 24
         assert ecdlp_bsgs(base, base, n) == 1
-        longer = attack._kept.walk
+        assert attack._kept is holder
+        longer = holder.walk
         assert len(longer.points) == 530
     finally:
         released.set()
         held.join(timeout=60)
     assert not held.is_alive()
     assert errors == []
-    assert asked == [(True, 0, 24)]
-    assert attack._kept.walk is longer
+    assert asked == [(True, True, 0, 24)]
+    assert len(searched) == 1 and searched[0] is longer
+    assert attack._kept is holder and holder.walk is longer
 
 
 def test_threads_racing_on_a_fresh_walk_get_the_oracles_answers(e1009, race):
