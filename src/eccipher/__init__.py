@@ -27,6 +27,7 @@ from .codec import (
     DEFAULT_ALPHABET,
     AlphabetTooLargeError,
     CodeTable,
+    CurveSetup,
     UnknownPointError,
     UnknownSymbolError,
 )
@@ -38,7 +39,7 @@ from .curve import (
     SingularCurveError,
 )
 from .field import FieldElement, Prime
-from .keyfile import CurveSetup, KeyFileError
+from .keyfile import KeyFileError
 from .keys import (
     GeneralPublicKey,
     PrivateKey,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import cipher, keyfile, keys
 from ._messages import brief
-from .codec import DEFAULT_ALPHABET
+from .codec import DEFAULT_ALPHABET, CurveSetup
 from .curve import Curve, Point
 
 USAGE_ERROR = 1
@@ -113,8 +113,8 @@ def _save(*files: tuple[str, str], inputs: tuple[str, ...] = ()) -> None:
     what is written there cannot be taken back.  An error names the path as
     given, never a temporary or backup file, also one raised by a write.
     """
-    _refuse_shared_targets([path for path, _ in files], inputs)
-    targets = [str(Path(path)) for path, _ in files]
+    targets = [path for path, _ in files]
+    _refuse_shared_targets(targets, inputs)
     blobs = [text.encode("utf-8") for _, text in files]
     pid = os.getpid()
     staged = []  # (target, temp, existed) for each missing or regular path
@@ -169,7 +169,7 @@ def _save(*files: tuple[str, str], inputs: tuple[str, ...] = ()) -> None:
                 os.remove(leftover)
 
 
-def _require_same_setup(*setups: keyfile.CurveSetup):
+def _require_same_setup(*setups: CurveSetup):
     if any(other != setups[0] for other in setups[1:]):
         raise ValueError("key files disagree on the curve setup")
 
@@ -186,7 +186,7 @@ def _cmd_curve_init(args) -> int:
     curve = Curve(args.p, args.a, args.b)
     base = _parse_point(curve, args.base)
     table_point = base if args.table_base is None else _parse_point(curve, args.table_base)
-    setup = keyfile.CurveSetup(curve, base, table_point, args.alphabet)
+    setup = CurveSetup(curve, base, table_point, args.alphabet)
     group_order = curve.order  # an oversized p fails here, before any file is written
     setup.code_table()  # refuses a setup whose cipher is not total
     _save((args.out, keyfile.render_curve_setup(setup)))

@@ -1,10 +1,21 @@
-"""The agreed code table mapping a text alphabet onto curve points."""
+"""The agreed code table mapping a text alphabet onto curve points, and the
+setup it is built from.
+
+This module answers whether a cipher is total.  The cipher sends the base
+point C, the key points, E1 and E2 through the code table, so each must be
+a multiple of the table point G.  `CurveSetup` refuses an alphabet with a
+repeated symbol, `CodeTable.from_generator` refuses one that does not name
+exactly order(G) symbols, and `CurveSetup.code_table` refuses a base or a
+named key point outside the table.  `keyfile` writes and reads setups and
+checks none of this itself: each setup it parses is built here.
+"""
 
 from __future__ import annotations
 
 import functools
 from typing import Sequence
 
+from ._record import Record
 from .curve import Curve, Point, _ceil_sqrt, _Kept, _Multiples
 
 # 43 symbols: '*', the lowercase letters, the digits 1..9 then 0, and six
@@ -124,3 +135,44 @@ class CodeTable:
                 raise UnknownPointError(f"point {point} is not in the code table")
             symbols.append(self._alphabet[index])
         return "".join(symbols)
+
+
+class CurveSetup(Record):
+    """The public agreement two parties share: curve, base point C used for
+    keys and nonces, the point generating the code table, and the alphabet.
+
+    Key files with equal setup lines share one parsed setup, so a setup,
+    like a curve, must be treated as immutable."""
+
+    __slots__ = ("curve", "base", "table_point", "alphabet")
+
+    def __init__(self, curve: Curve, base: Point, table_point: Point, alphabet: str):
+        self.curve = curve
+        self.base = base
+        self.table_point = table_point
+        self.alphabet = alphabet
+        if base.curve != curve or table_point.curve != curve:
+            raise ValueError("setup points must lie on the setup curve")
+        if base.is_infinity or table_point.is_infinity:
+            raise ValueError("setup points must not be infinity")
+        if len(_positions(alphabet)) != len(alphabet) or not alphabet:
+            raise ValueError("alphabet must be non-empty with distinct symbols")
+
+    def code_table(self, *named_points: tuple[str, Point]) -> CodeTable:
+        """The setup's code table, refused unless the cipher on it is total.
+
+        E1 = gamma*C and E2 are rendered through the table, which holds
+        every multiple of its point G (`CodeTable.from_generator` sees to
+        that), so the points they are built from must be multiples of G: C
+        and each of `named_points`, (name, point) pairs such as a peer's key
+        points, must decode.  Otherwise a `ValueError` refuses the input
+        before any arithmetic, not partway through a message.
+        """
+        table = CodeTable.from_generator(self.curve, self.table_point, self.alphabet)
+        for name, point in (("base point", self.base), *named_points):
+            try:
+                table.decode_point(point)
+            except UnknownPointError:
+                raise ValueError(f"{name} {point} is not a multiple of the table point "
+                                 f"{self.table_point}; a total cipher needs it in the table") from None
+        return table

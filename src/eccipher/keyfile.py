@@ -1,5 +1,10 @@
 """Canonical text files for curve setups and key material.
 
+This module is the file format alone: it writes and reads setups and keys,
+and checks only what a file can get wrong.  The setup, `CurveSetup`, and
+the rule that the cipher on it is total live in `codec`; the keys and
+their ranges live in `keys`.
+
 One flat format, `ecff-v1`, shared by every file kind::
 
     format = ecff-v1
@@ -22,8 +27,11 @@ accepted file is already canonical.
 Parsing and rendering are pure string functions; callers own the file I/O.
 `render_X` takes the setup and the keys, and `parse_X` returns them:
 `(setup, private, public)` for a private key, `(setup, key)` for a public
-one, so `parse_X(render_X(*values)) == values`.  The suggested extension is
-`.ecff`.
+one, so `parse_X(render_X(*values)) == values`: `render_X` refuses with
+`ValueError` any value that `parse_X` would not give back, such as a point
+off the setup's curve, a text entry that is not a `str`, or a private key
+on another base or with a public pair not its own.  The suggested
+extension is `.ecff`.
 """
 
 from __future__ import annotations
@@ -32,8 +40,7 @@ import functools
 import re
 
 from ._messages import brief
-from ._record import Record
-from .codec import CodeTable, UnknownPointError, _positions
+from .codec import CurveSetup
 from .curve import Curve, CurveTooLargeError, Point, PointNotOnCurveError, SingularCurveError
 from .field import Prime
 from .keys import GeneralPublicKey, PrivateKey, SpecificPublicKey, keypair_from_secret
@@ -52,48 +59,6 @@ class KeyFileError(ValueError):
     """A malformed or inconsistent key file; the message cites the line."""
 
 
-class CurveSetup(Record):
-    """The public agreement two parties share: curve, base point C used for
-    keys and nonces, the point generating the code table, and the alphabet.
-
-    Key files with equal setup lines share one parsed setup, so a setup,
-    like a curve, must be treated as immutable."""
-
-    __slots__ = ("curve", "base", "table_point", "alphabet")
-
-    def __init__(self, curve: Curve, base: Point, table_point: Point, alphabet: str):
-        self.curve = curve
-        self.base = base
-        self.table_point = table_point
-        self.alphabet = alphabet
-        if base.curve != curve or table_point.curve != curve:
-            raise ValueError("setup points must lie on the setup curve")
-        if base.is_infinity or table_point.is_infinity:
-            raise ValueError("setup points must not be infinity")
-        if len(_positions(alphabet)) != len(alphabet) or not alphabet:
-            raise ValueError("alphabet must be non-empty with distinct symbols")
-
-    def code_table(self, *named_points: tuple[str, Point]) -> CodeTable:
-        """The setup's code table, refused unless the cipher on it is total.
-
-        E1 = gamma*C and E2 are rendered through the table, which holds
-        every multiple of its point G (`CodeTable.from_generator` sees to
-        that), so the points they are built from must be multiples of G: C
-        and each of `named_points`, (name, point) pairs such as a peer's key
-        points, must decode.  Otherwise a `ValueError` refuses the input
-        before any arithmetic, not partway through a message.
-        """
-        table_point = self.table_point
-        table = CodeTable.from_generator(self.curve, table_point, self.alphabet)
-        for name, point in (("base point", self.base), *named_points):
-            try:
-                table.decode_point(point)
-            except UnknownPointError:
-                raise ValueError(f"{name} {point} is not a multiple of the table point "
-                                 f"{table_point}; a total cipher needs it in the table") from None
-        return table
-
-
 # Each kind's entries after the shared setup lines, in file order:
 # `_render` writes them and `_parse` reads them.  A point entry is
 # `name.x`/`name.y` lines, or `name = inf` where infinity is allowed.
@@ -110,25 +75,39 @@ _BODY = {
 
 # ---------------------------------------------------------------- rendering
 
+def _check_entry(curve: Curve, name: str, entry_type: str, value) -> None:
+    """Refuse a value that `_Reader.take_entry` would not give back.  A
+    `PrivateKey` holds its own: the one `_INT` entry is its scalar, an int
+    in [1, n-1], and the one `_POINT` entry its secret point, never inf."""
+    if entry_type == _TEXT:
+        if not isinstance(value, str):
+            raise ValueError(f"{name} must be a str, got {type(value).__name__}")
+        if "\n" in value:
+            raise ValueError(f"{name} must not contain newlines")
+    elif entry_type != _INT and not (isinstance(value, Point) and value.curve == curve):
+        raise ValueError(f"{name} must be a point on the setup's curve {curve!r}")
+
+
 def _render(kind: str, setup: CurveSetup, *values) -> str:
-    """The canonical file of `kind`; `values` follow the order of `_BODY[kind]`."""
+    """The canonical file of `kind`; `values` follow the order of `_BODY[kind]`,
+    and one that `_parse` would not give back raises `ValueError`."""
     curve = setup.curve
     entries = [
         ("format", FORMAT_TAG), ("kind", kind), ("p", curve.p), ("a", curve.a), ("b", curve.b),
-        ("base", setup.base), ("table", setup.table_point), ("alphabet", setup.alphabet),
+        ("base", setup.base), ("table", setup.table_point),
     ]
-    entries += zip([name for name, _ in _BODY[kind]], values, strict=True)
+    checked = zip((("alphabet", _TEXT), *_BODY[kind]), (setup.alphabet, *values), strict=True)
+    for (name, entry_type), value in checked:
+        _check_entry(curve, name, entry_type, value)
+        entries.append((name, value))
     lines = []
     for name, value in entries:
-        if isinstance(value, Point):
-            if value.is_infinity:
-                lines.append(f"{name} = inf\n")
-            else:
-                lines += [f"{name}.x = {value.x}\n", f"{name}.y = {value.y}\n"]
-        elif "\n" in str(value):
-            raise ValueError(f"{name} must not contain newlines")
-        else:
+        if not isinstance(value, Point):
             lines.append(f"{name} = {value}\n")
+        elif value.is_infinity:
+            lines.append(f"{name} = inf\n")
+        else:
+            lines += [f"{name}.x = {value.x}\n", f"{name}.y = {value.y}\n"]
     return "".join(lines)
 
 
@@ -137,6 +116,12 @@ def render_curve_setup(setup: CurveSetup) -> str:
 
 
 def render_private_key(setup: CurveSetup, key: PrivateKey, public: GeneralPublicKey) -> str:
+    """Refuses a key whose base is not the setup's, or a public pair not its own,
+    as `parse_private_key` would refuse the file."""
+    if key.base != setup.base:
+        raise ValueError(f"private key's base point {key.base} is not the setup's {setup.base}")
+    if keypair_from_secret(setup.curve, setup.base, key.scalar, key.point)[1] != public:
+        raise ValueError("public key does not match the private key")
     return _render(KIND_PRIVATE, setup, key.scalar, key.point, public.k1, public.k2)
 
 

@@ -8,6 +8,7 @@ second public point.
 
 from __future__ import annotations
 
+import operator
 import random
 
 from ._messages import brief
@@ -18,13 +19,14 @@ from .curve import Curve, Point
 class PrivateKey(Record):
     """A party's secrets: scalar in [1, n-1] and a non-identity curve point.
 
-    n is the order of the shared base point.
+    n is the order of the shared base point.  A scalar that is not an int,
+    such as a float or str, is refused with TypeError.
     """
 
     __slots__ = ("scalar", "point", "curve", "base", "_base_order")
 
     def __init__(self, scalar: int, point: Point, curve: Curve, base: Point):
-        self.scalar = scalar
+        self.scalar = operator.index(scalar)
         self.point = point
         self.curve = curve
         self.base = base

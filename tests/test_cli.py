@@ -330,6 +330,21 @@ def test_keygen_out_of_range_alpha_is_a_data_error(run_cli, workdir):
 
 # ---------------------------------------------------------- derive-specific
 
+@pytest.mark.parametrize("command, point", [
+    (("curve", "init", "--p", "37", "--a", "2", "--b", "9", "--base", "9,x", "--out", "c.ecff"),
+     "9,x"),
+    (("keygen", "--curve", "demo.ecff", "--alpha", "5", "--point", "1.5,2",
+      "--out-private", "k.priv", "--out-public", "k.pub"), "1.5,2"),
+], ids=["curve-init", "keygen"])
+def test_point_coordinates_that_are_not_integers_are_a_data_error(run_cli, workdir, command,
+                                                                  point):
+    result = run_cli(*command, cwd=workdir)
+    assert result.returncode == 2
+    assert result.stderr == f"error: point coordinates must be integers, got '{point}'\n"
+    assert result.stdout == ""
+    assert sorted(path.name for path in workdir.iterdir()) == ["demo.ecff"]
+
+
 def test_derive_specific_vectors(run_cli, workdir):
     _make_demo_keys(run_cli, workdir)
     ab = (workdir / "alice_for_bob.spec").read_text()
@@ -571,6 +586,21 @@ def test_output_path_that_is_a_directory_is_named_in_the_error(run_cli, workdir)
         assert result.returncode == 2
         assert result.stderr == f"error: [Errno 21] Is a directory: '{out}'\n"
     assert not list(workdir.glob("*.tmp"))
+
+
+def test_an_output_is_written_at_the_path_as_given(run_cli, workdir):
+    # "x/" names a directory, so the write is refused: it must not replace
+    # the regular file "x".  An error names the path as it was typed.
+    (workdir / "x").write_bytes(b"kept")
+    cases = [("x/", "[Errno 20] Not a directory: 'x/'"),
+             ("./nope/k.ecff", "[Errno 2] No such file or directory: './nope/k.ecff'")]
+    for out, error in cases:
+        result = run_cli("curve", "init", *CURVE_ARGS, "--out", out, cwd=workdir)
+        assert result.returncode == 2
+        assert result.stderr == f"error: {error}\n"
+        assert result.stdout == ""
+    assert (workdir / "x").read_bytes() == b"kept"
+    assert sorted(path.name for path in workdir.iterdir()) == ["demo.ecff", "x"]
 
 
 def test_symlinked_output_writes_the_file_it_points_to(run_cli, workdir):

@@ -330,6 +330,51 @@ def test_newlines_in_values_cannot_be_rendered(e37):
         render_specific_public_key(_setup(e37), specific)
 
 
+# parse_X(render_X(*values)) == values for every value render_X accepts:
+# each case below used to be written as a file its parser refuses or reads
+# back as another value.
+
+def test_a_point_off_the_setup_curve_cannot_be_rendered(e37):
+    setup, _, public = _private_file(e37)
+    # (0,3) lies on both E_37(2,9) and E_37(3,9), so only the curve differs.
+    twin = Curve(37, 3, 9).point(0, 3)
+    cases = [
+        (render_general_public_key, GeneralPublicKey(twin, public.k2), "pub1"),
+        (render_general_public_key, GeneralPublicKey(public.k1, Curve(37, 3, 9).infinity()),
+         "pub2"),
+        (render_specific_public_key, SpecificPublicKey(twin, "alice", "bob"), "point"),
+        (render_specific_public_key, SpecificPublicKey((0, 3)), "point"),
+    ]
+    for render, key, name in cases:
+        with pytest.raises(ValueError, match=f"^{name} must be a point on the setup's curve "):
+            render(setup, key)
+
+
+def test_a_text_entry_that_is_not_a_str_cannot_be_rendered(e37):
+    setup = _setup(e37)
+    point = e37.point(15, 11)
+    for key, name in ((SpecificPublicKey(point, 5, None), "issuer"),
+                      (SpecificPublicKey(point, "alice", None), "audience")):
+        with pytest.raises(ValueError, match=f"^{name} must be a str, got "):
+            render_specific_public_key(setup, key)
+    tupled = CurveSetup(e37, setup.base, setup.table_point, tuple(vectors.ALPHABET))
+    with pytest.raises(ValueError, match="^alphabet must be a str, got tuple$"):
+        render_curve_setup(tupled)
+
+
+def test_a_private_key_the_parser_would_refuse_cannot_be_rendered(e37):
+    setup, private, public = _private_file(e37)
+    _, _, other_public = _private_file(e37, scalar=7, point=(11, 20))
+    with pytest.raises(ValueError, match="^public key does not match the private key$"):
+        render_private_key(setup, private, other_public)
+    other_base = 2 * setup.base
+    keys = keypair_from_secret(e37, other_base, 5, private.point)
+    message = f"private key's base point {other_base} is not the setup's (9,4)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        render_private_key(setup, *keys)
+    assert parse_private_key(render_private_key(setup, private, public)) == (setup, private, public)
+
+
 def test_error_messages_carry_line_numbers():
     cases = [
         _mutate(CURVE_TEXT, "p = 37", "p = 35"),

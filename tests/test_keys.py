@@ -149,6 +149,18 @@ def test_huge_scalar_is_refused_with_a_short_message(e37, e37_base):
     assert len(str(caught.value)) < 200
 
 
+def test_a_scalar_that_is_not_an_int_is_refused(e37, e37_base):
+    # Before, PrivateKey(5.0, ...) was accepted and rendered as
+    # "alpha = 5.0", which parse_private_key refuses.
+    secret = e37.point(10, 20)
+    for bad in (5.0, "5"):
+        with pytest.raises(TypeError):
+            PrivateKey(bad, secret, e37, e37_base)
+        with pytest.raises(TypeError):
+            keypair_from_secret(e37, e37_base, bad, secret)
+    assert type(PrivateKey(True, secret, e37, e37_base).scalar) is int
+
+
 def test_infinity_secret_point_rejected(e37, e37_base):
     with pytest.raises(ValueError):
         PrivateKey(5, e37.infinity(), e37, e37_base)
