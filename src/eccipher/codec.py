@@ -3,11 +3,12 @@ setup it is built from.
 
 This module answers whether a cipher is total.  The cipher sends the base
 point C, the key points, E1 and E2 through the code table, so each must be
-a multiple of the table point G.  `CurveSetup` refuses an alphabet with a
-repeated symbol, `CodeTable.from_generator` refuses one that does not name
-exactly order(G) symbols, and `CurveSetup.code_table` refuses a base or a
-named key point outside the table.  `keyfile` writes and reads setups and
-checks none of this itself: each setup it parses is built here.
+a multiple of the table point G.  `CurveSetup` refuses an alphabet that is
+not a `str` or repeats a symbol, `CodeTable.from_generator` refuses one
+that does not name exactly order(G) symbols, and `CurveSetup.code_table`
+refuses a base or a named key point outside the table.  `keyfile` writes
+and reads setups and checks none of this itself: each setup it parses is
+built here.
 """
 
 from __future__ import annotations
@@ -29,6 +30,14 @@ def _positions(alphabet: str) -> dict[str, int]:
     setup's distinct-symbols check and its code table share it.  One entry,
     as a command works on one alphabet."""
     return {symbol: i for i, symbol in enumerate(alphabet)}
+
+
+def _index_of(alphabet: str) -> dict[str, int]:
+    """`_positions(alphabet)`, refused with `TypeError` unless `alphabet` is
+    a `str`, before the cache hashes it."""
+    if not isinstance(alphabet, str):
+        raise TypeError(f"alphabet must be a str, got {type(alphabet).__name__}")
+    return _positions(alphabet)
 
 
 class AlphabetTooLargeError(ValueError):
@@ -70,16 +79,17 @@ class CodeTable:
         """Build the table whose i-th symbol maps to i * generator.
 
         Index 0 is the identity, so the first symbol always denotes
-        infinity.  The alphabet names exactly the generator's order, from
-        `curve.order_of` (which refuses p > 2**20), in distinct symbols:
-        more would repeat points, and fewer would leave multiples unnamed.
+        infinity.  The alphabet, a `str`, names exactly the generator's
+        order, from `curve.order_of` (which refuses p > 2**20), in distinct
+        symbols: more would repeat points, and fewer would leave multiples
+        unnamed.
         """
         if generator.curve != curve:
             raise ValueError("generator belongs to a different curve")
         table = object.__new__(cls)
         table.curve = curve
         table._alphabet = alphabet
-        table._index_of_symbol = _positions(alphabet)
+        table._index_of_symbol = _index_of(alphabet)
         table._kept = _Kept(generator)
         size = len(alphabet)
         order = curve.order_of(generator)
@@ -139,10 +149,8 @@ class CodeTable:
 
 class CurveSetup(Record):
     """The public agreement two parties share: curve, base point C used for
-    keys and nonces, the point generating the code table, and the alphabet.
-
-    Key files with equal setup lines share one parsed setup, so a setup,
-    like a curve, must be treated as immutable."""
+    keys and nonces, the point generating the code table, and the alphabet,
+    a `str`."""
 
     __slots__ = ("curve", "base", "table_point", "alphabet")
 
@@ -155,7 +163,7 @@ class CurveSetup(Record):
             raise ValueError("setup points must lie on the setup curve")
         if base.is_infinity or table_point.is_infinity:
             raise ValueError("setup points must not be infinity")
-        if len(_positions(alphabet)) != len(alphabet) or not alphabet:
+        if len(_index_of(alphabet)) != len(alphabet) or not alphabet:
             raise ValueError("alphabet must be non-empty with distinct symbols")
 
     def code_table(self, *named_points: tuple[str, Point]) -> CodeTable:

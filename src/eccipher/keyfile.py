@@ -13,11 +13,9 @@ One flat format, `ecff-v1`, shared by every file kind::
 
 Every kind embeds the full curve setup (modulus, coefficients, shared base
 point, code-table point, alphabet) so any file is self-describing and any
-two files can be checked for agreement.  The setup is always lines 3-10,
-and files carrying equal setup lines share one parsed `CurveSetup`, so the
-files of one command share one curve, its order caches and one alphabet
-check, whose symbol index the code table reuses.  `_BODY` lists each
-kind's entries after the setup; the writer and the reader both follow it.
+two files can be checked for agreement.  The setup is always lines 3-10.
+`_BODY` lists each kind's entries after the setup; the writer and the
+reader both follow it.
 Points are written as `name.x` / `name.y` line pairs, or `name = inf` for
 the identity.  Integers are plain decimals without leading zeros.  Files
 are canonical: fixed key order, one `key = value` per line, single spaces,
@@ -36,7 +34,6 @@ extension is `.ecff`.
 
 from __future__ import annotations
 
-import functools
 import re
 
 from ._messages import brief
@@ -142,9 +139,9 @@ class _Reader:
     message cites.
     """
 
-    def __init__(self, lines, pos: int = 0):
+    def __init__(self, lines):
         self.lines = lines
-        self.pos = pos
+        self.pos = 0
 
     def take(self, key: str) -> str:
         if self.pos >= len(self.lines):
@@ -196,15 +193,8 @@ class _Reader:
         return self.take_point(curve, name, allow_infinity=entry_type == _POINT_OR_INF)
 
 
-# p, a, b, base.x, base.y, table.x, table.y and alphabet, in every kind.
-_SETUP_LINES = slice(2, 10)
-
-
-@functools.lru_cache(maxsize=1)
-def _setup_of(lines: tuple[str, ...]) -> CurveSetup:
-    """The setup on file lines 3-10, parsed once per distinct text.  An
-    error is raised, never cached, and cites its line in the file."""
-    reader = _Reader(("",) * _SETUP_LINES.start + lines, pos=_SETUP_LINES.start)
+def _take_setup(reader: _Reader) -> CurveSetup:
+    """The setup on file lines 3-10; an error cites its line in the file."""
     p = reader.take_int("p")
     try:
         prime = Prime(p)
@@ -237,8 +227,7 @@ def _parse(text: str, kind: str) -> tuple[CurveSetup, list, list[int]]:
     found = reader.take("kind")
     if found != kind:
         raise KeyFileError(f"line 2: expected kind {kind!r}, found {brief(found)}")
-    setup = _setup_of(tuple(reader.lines[_SETUP_LINES]))
-    reader.pos = _SETUP_LINES.stop
+    setup = _take_setup(reader)
     values, ends = [], []
     for name, entry_type in _BODY[kind]:
         values.append(reader.take_entry(setup.curve, name, entry_type))

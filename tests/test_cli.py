@@ -969,13 +969,12 @@ def test_key_commands_never_count_the_group(tmp_path, monkeypatch, enumerations,
     assert enumerations == []
 
 
-def test_encrypt_parses_the_setup_of_its_three_files_once(tmp_path, monkeypatch, capsys,
-                                                         searches):
+def test_encrypt_parses_each_files_setup_and_searches_the_base_order_once(
+        tmp_path, monkeypatch, capsys, searches):
     # The private key, the peer's general key and the peer's specific key
-    # carry equal setup lines, so encrypt builds one CurveSetup on one curve
-    # and searches the base order once; without --table-base the base also
-    # generates the code table.  The parse cache is cleared so the
-    # ceremony's parses do not count.
+    # each give their own CurveSetup, and only the private key's computes
+    # orders, so encrypt searches the base order once; without --table-base
+    # the base also generates the code table.
     monkeypatch.chdir(tmp_path)
     assert CURVE_ARGS[-2] == "--table-base"
     assert cli.main(["curve", "init", *CURVE_ARGS[:-2], "--out", "demo.ecff"]) == 0
@@ -985,7 +984,6 @@ def test_encrypt_parses_the_setup_of_its_three_files_once(tmp_path, monkeypatch,
     assert cli.main(["derive-specific", "--private", "alice.priv", "--peer-public", "bob.pub",
                      "--out", "alice_for_bob.spec"]) == 0
     capsys.readouterr()
-    keyfile._setup_of.cache_clear()
     searches.clear()
     built = []
     original = keyfile.CurveSetup.__init__
@@ -999,15 +997,15 @@ def test_encrypt_parses_the_setup_of_its_three_files_once(tmp_path, monkeypatch,
                      "--peer-specific", "alice_for_bob.spec", "--message", "attack",
                      "--seed", "4"]) == 0
     assert capsys.readouterr().err == ""
-    assert len(built) == 1
+    assert len(built) == 3
     assert [(pt.x, pt.y) for pt in searches] == [vectors.BASE]
 
 
 def test_a_wide_command_indexes_its_alphabet_once(tmp_path, monkeypatch, capsys):
-    # On E_16381(2,9), whose 16,473 points all get a symbol, the setup's
-    # distinct-symbols check and the code table share one index of the
-    # alphabet, so encrypt and decrypt each make one pass over it.  Both
-    # caches are cleared so the ceremony's parses do not count.
+    # On E_16381(2,9), whose 16,473 points all get a symbol, the three key
+    # files' distinct-symbols checks and the code table share one index of
+    # the alphabet, so encrypt and decrypt each make one pass over it.  The
+    # cache is cleared so the ceremony's parses do not count.
     monkeypatch.chdir(tmp_path)
     alphabet = "".join(chr(0x4E00 + i) for i in range(16473))
     message = "".join(alphabet[i] for i in (0, 1, 7, 4096, 16472, 16472, 9999, 3))
@@ -1029,12 +1027,11 @@ def test_a_wide_command_indexes_its_alphabet_once(tmp_path, monkeypatch, capsys)
           "--peer-specific", "bob_for_alice.spec", "--cipher", cipher], message),
     ]
     for args, printed in commands:
-        keyfile._setup_of.cache_clear()
         codec._positions.cache_clear()
         assert cli.main(args) == 0
         assert capsys.readouterr() == (printed + "\n", "")
         info = codec._positions.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        assert (info.misses, info.hits) == (1, 3)
 
 
 # ------------------------------------------------------------------ fuzzing

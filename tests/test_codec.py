@@ -19,6 +19,7 @@ from eccipher import (
     DEFAULT_ALPHABET,
     UnknownPointError,
     UnknownSymbolError,
+    codec,
     keygen,
     slow_scalar_mul,
 )
@@ -103,6 +104,29 @@ def test_alphabet_longer_than_generator_order_rejected():
 def test_duplicate_symbols_rejected():
     with pytest.raises(ValueError, match="symbols must be distinct"):
         CodeTable.from_generator(_CURVE, _CURVE.point(5, 25), "aa")
+
+
+_NOT_STR = pytest.mark.parametrize(
+    "alphabet", [list(DEFAULT_ALPHABET), tuple(DEFAULT_ALPHABET), DEFAULT_ALPHABET.encode()],
+    ids=["list", "tuple", "bytes"])
+
+
+@_NOT_STR
+def test_from_generator_refuses_an_alphabet_that_is_not_a_str(alphabet):
+    # Refused before the alphabet index's cache hashes the value.
+    before = codec._positions.cache_info()
+    with pytest.raises(TypeError, match=f"^alphabet must be a str, got {type(alphabet).__name__}$"):
+        CodeTable.from_generator(_CURVE, _CURVE.point(*vectors.TABLE_POINT), alphabet)
+    assert codec._positions.cache_info() == before
+
+
+@_NOT_STR
+def test_a_setup_refuses_an_alphabet_that_is_not_a_str(alphabet):
+    base, generator = _CURVE.point(*vectors.BASE), _CURVE.point(*vectors.TABLE_POINT)
+    before = codec._positions.cache_info()
+    with pytest.raises(TypeError, match=f"^alphabet must be a str, got {type(alphabet).__name__}$"):
+        CurveSetup(_CURVE, base, generator, alphabet)
+    assert codec._positions.cache_info() == before
 
 
 def test_generator_from_other_curve_rejected():

@@ -357,7 +357,9 @@ def test_a_text_entry_that_is_not_a_str_cannot_be_rendered(e37):
                       (SpecificPublicKey(point, "alice", None), "audience")):
         with pytest.raises(ValueError, match=f"^{name} must be a str, got "):
             render_specific_public_key(setup, key)
-    tupled = CurveSetup(e37, setup.base, setup.table_point, tuple(vectors.ALPHABET))
+    # CurveSetup refuses a tuple alphabet itself, so this one is set after.
+    tupled = CurveSetup(e37, setup.base, setup.table_point, vectors.ALPHABET)
+    tupled.alphabet = tuple(vectors.ALPHABET)
     with pytest.raises(ValueError, match="^alphabet must be a str, got tuple$"):
         render_curve_setup(tupled)
 
@@ -432,16 +434,18 @@ def test_overlong_integer_is_refused_with_its_line(e37, key, line, digit_limit):
             sys.set_int_max_str_digits(saved)
 
 
-# ------------------------------------------------------------- shared setup
+# ------------------------------------------------------------- setup lines
 
 _KEY_KINDS = ("private", "public-general", "public-specific")
 
 
-def test_files_with_equal_setup_lines_share_one_setup(e37):
+def test_files_with_equal_setup_lines_give_equal_setups_of_their_own(e37):
     setups = [parse(text)[0] for text, parse in (_rendered(kind, e37) for kind in _KEY_KINDS)]
     assert setups[0] == _setup(e37)
-    assert setups[1] is setups[0] and setups[2] is setups[0]
-    assert parse_curve_setup(CURVE_TEXT) is setups[0]
+    assert setups[1] == setups[0] and setups[2] == setups[0]
+    assert setups[1] is not setups[0] and setups[2] is not setups[0]
+    assert parse_curve_setup(CURVE_TEXT) == setups[0]
+    assert parse_curve_setup(CURVE_TEXT) is not parse_curve_setup(CURVE_TEXT)
 
 
 def test_a_different_alphabet_line_gives_a_different_setup(e37, tmp_path, monkeypatch, capsys):
@@ -494,8 +498,9 @@ def test_a_file_cut_inside_its_setup_names_the_missing_entry(e37, kind):
 
 
 def test_threads_parsing_two_setups_each_get_their_own(e37, e1009, race):
-    # The setup cache keeps one entry, and threads parsing different setups
-    # keep replacing it; each must still get the setup of its own text.
+    # Each parse indexes its alphabet through codec's one-entry cache, and
+    # threads parsing setups on two alphabets keep replacing it; each must
+    # still get the setup of its own text.
     mid_base = e1009.point(*vectors.MID_BASE)
     mid = CurveSetup(e1009, mid_base, mid_base, "xyz")
     expected = {CURVE_TEXT: _setup(e37), render_curve_setup(mid): mid}
