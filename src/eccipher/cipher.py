@@ -29,7 +29,7 @@ import random
 
 from ._messages import brief
 from .codec import CodeTable
-from .curve import Point
+from .curve import Curve, Point
 from .keys import GeneralPublicKey, PrivateKey, SpecificPublicKey
 
 
@@ -45,10 +45,20 @@ class MessageTooLongError(ValueError):
     """Message needs more distinct nonces than the base point order allows."""
 
 
+def _require_in_table(curve: Curve, table: CodeTable, key_points: tuple[Point, ...]) -> None:
+    """Both contexts' check: key points and table on `curve`, key points in the table."""
+    if any(point.curve != curve for point in key_points):
+        raise ValueError("all context points must share one curve")
+    if table.curve != curve:
+        raise ValueError("code table belongs to a different curve")
+    table.decode_message(key_points)
+
+
 class EncryptionContext:
     """Everything the sender needs: own private key, the recipient's
-    general and specific public keys, and the shared code table.  It also
-    holds s*K1 + S and K1 - K2, the parts of E2 that no nonce changes."""
+    general and specific public keys, and the shared code table, which
+    must hold them all on one curve before any arithmetic.  It also holds
+    s*K1 + S and K1 - K2, the parts of E2 that no nonce changes."""
 
     __slots__ = ("sender_private", "recipient_general", "recipient_specific", "table",
                  "_offset", "_difference")
@@ -59,21 +69,17 @@ class EncryptionContext:
         self.recipient_general = recipient_general
         self.recipient_specific = recipient_specific
         self.table = table
-        curve = sender_private.curve
-        for pt in (recipient_general.k1, recipient_general.k2, recipient_specific.point):
-            if pt.curve != curve:
-                raise ValueError("all context points must share one curve")
-        if table.curve != curve:
-            raise ValueError("code table belongs to a different curve")
         k1, k2 = recipient_general.k1, recipient_general.k2
+        _require_in_table(sender_private.curve, table, (k1, k2, recipient_specific.point))
         self._offset = sender_private.scalar * k1 + recipient_specific.point
         self._difference = k1 - k2
 
 
 class DecryptionContext:
     """Everything the recipient needs: own private key, the sender's first
-    general public point, the sender's specific key, and the table.  It
-    also holds r*J1 + T, the part of the mask that no nonce changes."""
+    general public point, the sender's specific key, and the table, which
+    must hold them all on one curve before any arithmetic.  It also holds
+    r*J1 + T, the part of the mask that no nonce changes."""
 
     __slots__ = ("recipient_private", "sender_k1", "sender_specific", "table", "_offset")
 
@@ -83,11 +89,7 @@ class DecryptionContext:
         self.sender_k1 = sender_k1
         self.sender_specific = sender_specific
         self.table = table
-        curve = recipient_private.curve
-        if sender_k1.curve != curve or sender_specific.point.curve != curve:
-            raise ValueError("all context points must share one curve")
-        if table.curve != curve:
-            raise ValueError("code table belongs to a different curve")
+        _require_in_table(recipient_private.curve, table, (sender_k1, sender_specific.point))
         self._offset = recipient_private.scalar * sender_k1 + sender_specific.point
 
 

@@ -13,7 +13,6 @@ import os
 import random
 import stat
 import sys
-from pathlib import Path
 
 from . import cipher, keyfile, keys
 from ._messages import brief
@@ -62,7 +61,8 @@ def _parse_point(curve: Curve, text: str) -> Point:
 def _load(path: str, parse):
     # Bytes, not read_text: universal newlines would turn a lone CR inside
     # a value into a line break.
-    data = Path(path).read_bytes()
+    with open(path, "rb") as file:
+        data = file.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -14,7 +14,7 @@ built here.
 from __future__ import annotations
 
 import functools
-from typing import Sequence
+from collections.abc import Sequence
 
 from ._record import Record
 from .curve import Curve, Point, _ceil_sqrt, _Kept, _Multiples

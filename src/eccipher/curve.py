@@ -308,8 +308,8 @@ def _point(curve: Curve, xy: tuple[int, int] | None) -> Point:
 
 class _Listing(Sequence):
     """The points of a curve as `enumerate_points` lists them: infinity at
-    index 0, then (xs[i - 1], ys[i - 1]) at index i.  Reading an index or
-    iterating builds each `Point` by `_point`; a slice is a list."""
+    index 0, then (xs[i - 1], ys[i - 1]) at index i, read as `range(len(self))`
+    reads, a slice as a list.  Each `Point` read or iterated is built by `_point`."""
 
     __slots__ = ("curve", "_xs", "_ys")
 
@@ -320,15 +320,12 @@ class _Listing(Sequence):
         return len(self._xs) + 1
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        size = len(self)
-        i = index + size if index < 0 else index
-        if not 0 <= i < size:
-            raise IndexError("point index out of range")
-        if i == 0:
+        picked = range(len(self))[index]
+        if isinstance(picked, range):
+            return [self[i] for i in picked]
+        if picked == 0:
             return _point(self.curve, None)
-        return _point(self.curve, (self._xs[i - 1], self._ys[i - 1]))
+        return _point(self.curve, (self._xs[picked - 1], self._ys[picked - 1]))
 
     def __iter__(self) -> Iterator[Point]:
         curve = self.curve

@@ -1,6 +1,7 @@
 """Point encryption/decryption and the whole-message text pipeline."""
 
 import random
+import re
 
 import pytest
 
@@ -16,6 +17,7 @@ from eccipher import (
     MessageTooLongError,
     Point,
     SpecificPublicKey,
+    UnknownPointError,
     UnknownSymbolError,
     decrypt_message,
     decrypt_point,
@@ -252,20 +254,23 @@ def scalar_muls(monkeypatch):
     return calls
 
 
-def test_encrypt_algebra_outside_the_base_subgroup(e1009, scalar_muls):
-    # On E_1009(7,21) the base (0,358) has order 530 in a group of 1060,
-    # so <C> has index 2.  An odd scalar on the secret point (8,331), which
-    # lies outside <C>, puts the recipient's K1 and K2 outside <C> too, so
-    # E2 is checked where no step may treat K1 or K2 as a multiple of C.
+def test_encrypt_algebra_outside_the_base_subgroup(scalar_muls):
+    # E_503(2,9) is cyclic of order 502 = 2 * 251: the table point G = (0,3)
+    # generates it, and the base C = 2*G = (56,146) has order 251, so <C>
+    # has index 2 in the table.  The scalar 3 on the secret point G puts
+    # the recipient's K1 = 9*G and K2 = 3*G outside <C> but in the table,
+    # so E2 is checked where no step may treat K1 or K2 as a multiple of C.
     # Every nonce is tried.  Each symbol costs two scalar multiplies to
     # encrypt, once the context holds s*K1 + S and K1 - K2, and one to
     # decrypt, once the context holds r*J1 + T.
-    curve = e1009
-    base = curve.point(*vectors.MID_BASE)
-    table = CodeTable.from_generator(curve, base, "".join(chr(0x4E00 + i) for i in range(530)))
-    recipient_private, recipient_public = keypair_from_secret(curve, base, 3, curve.point(8, 331))
-    sender_private, sender_public = keypair_from_secret(curve, base, 401, 17 * base)
-    subgroup = {k * base for k in range(530)}
+    curve = Curve(503, 2, 9)
+    generator = curve.point(0, 3)
+    base = 2 * generator
+    assert base == curve.point(56, 146)
+    table = CodeTable.from_generator(curve, generator, "".join(chr(0x4E00 + i) for i in range(502)))
+    recipient_private, recipient_public = keypair_from_secret(curve, base, 3, generator)
+    sender_private, sender_public = keypair_from_secret(curve, base, 101, 17 * base)
+    subgroup = {k * base for k in range(251)}
     assert recipient_public.k1 not in subgroup and recipient_public.k2 not in subgroup
     recipient_specific = derive_specific(recipient_private, sender_public.k2)
     sender_specific = derive_specific(sender_private, recipient_public.k2)
@@ -276,8 +281,8 @@ def test_encrypt_algebra_outside_the_base_subgroup(e1009, scalar_muls):
     points = curve.enumerate_points()
     k1, k2, spec = recipient_public.k1, recipient_public.k2, recipient_specific.point
     beta = sender_private.scalar
-    sampled = set(random.Random(1009).sample(range(1, 530), 20))
-    for nonce in range(1, 530):
+    sampled = set(random.Random(1009).sample(range(1, 251), 20))
+    for nonce in range(1, 251):
         message = points[nonce * 7 % len(points)]
         scalar_muls.clear()
         e1, e2 = encrypt_point(enc, message, nonce)
@@ -290,6 +295,29 @@ def test_encrypt_algebra_outside_the_base_subgroup(e1009, scalar_muls):
             assert e1 == slow_scalar_mul(nonce, base)
             assert e2 == (message + slow_scalar_mul(beta + nonce, k1)
                           - slow_scalar_mul(nonce, k2) + spec)
+
+
+def test_contexts_refuse_key_points_outside_the_table(e1009, scalar_muls):
+    # E_1009(7,21) is Z/2 x Z/530, so the table on the base (0,358) holds
+    # only <C>, half the group.  The scalar 3 on the secret point (8,331),
+    # outside <C>, puts the recipient's K1 outside the table, and with it
+    # the sender's specific key.  Both contexts refuse before any scalar
+    # multiply, not when E2 is rendered partway through a message.
+    curve = e1009
+    base = curve.point(*vectors.MID_BASE)
+    table = CodeTable.from_generator(curve, base, "".join(chr(0x4E00 + i) for i in range(530)))
+    recipient_private, recipient_public = keypair_from_secret(curve, base, 3, curve.point(8, 331))
+    sender_private, sender_public = keypair_from_secret(curve, base, 401, 17 * base)
+    recipient_specific = derive_specific(recipient_private, sender_public.k2)
+    sender_specific = derive_specific(sender_private, recipient_public.k2)
+    scalar_muls.clear()
+    outside = "^point {} is not in the code table$"
+    with pytest.raises(UnknownPointError, match=outside.format(re.escape(str(recipient_public.k1)))):
+        EncryptionContext(sender_private, recipient_public, recipient_specific, table)
+    with pytest.raises(UnknownPointError,
+                       match=outside.format(re.escape(str(sender_specific.point)))):
+        DecryptionContext(recipient_private, sender_public.k1, sender_specific, table)
+    assert scalar_muls == []
 
 
 # ----------------------------------------------------------------- records

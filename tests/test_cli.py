@@ -1199,13 +1199,15 @@ def test_the_public_files_alone_break_both_keys_and_the_message(tmp_path, monkey
 
 # ------------------------------------------------------------------ start-up
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # Each command pays its imports; the records are plain __slots__ classes.
-    # -S keeps site start-up from importing either on its own.
+def test_importing_the_cli_loads_no_dataclasses_inspect_typing_or_pathlib():
+    # Each command pays its imports: the records are plain __slots__ classes,
+    # `codec` takes Sequence from collections.abc and `cli` opens key files
+    # with open().  -S keeps site start-up from importing any on its own.
     src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run(
         [sys.executable, "-S", "-c",
-         "import sys, eccipher.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+         "import sys, eccipher.cli; print(sorted("
+         "{'dataclasses', 'inspect', 'typing', 'pathlib'} & set(sys.modules)))"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert result.returncode == 0, result.stderr

@@ -1,6 +1,7 @@
 """Curve construction, the group law, scalar multiplication, enumeration
 and point orders."""
 
+import itertools
 import math
 import random
 import threading
@@ -365,9 +366,19 @@ def test_enumeration_reads_like_the_list_of_its_points(curve_name, request):
     for cut in (slice(None), slice(1, None, 3), slice(None, None, -1),
                 slice(-5, -1), slice(-1, 2, -7), slice(len(points), None)):
         assert listed[cut] == points[cut], cut
-    for index in (len(points), -len(points) - 1):
-        with pytest.raises(IndexError):
-            listed[index]
+    size = len(points)
+    for index in range(-size - 2, size + 2):
+        try:
+            expected = points[index]
+        except IndexError:
+            with pytest.raises(IndexError):
+                listed[index]
+        else:
+            assert listed[index] == expected, index
+    ends = (None, -size - 1, -3, 0, 3, size + 1)
+    for start, stop, step in itertools.product(ends, ends, (None, 1, 2, -1, -5)):
+        cut = slice(start, stop, step)
+        assert listed[cut] == points[cut], cut
     assert points[7] in listed and curve.infinity() in listed
     assert Curve(5, 1, 1).point(0, 1) not in listed
     assert list(listed) == points and listed[7] is not listed[7]
