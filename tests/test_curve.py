@@ -386,8 +386,9 @@ def test_enumeration_reads_like_the_list_of_its_points(curve_name, request):
 
 def test_enumeration_holds_coordinates_not_points():
     # E_16381(2,9) has 16473 points.  The squares table takes p bytes; the
-    # rest of the peak is the two coordinate arrays, about 16 bytes a
-    # point, where a list of Points took over 100.
+    # rest of the peak is the two 32-bit coordinate arrays, sized once from
+    # Hasse's bound, about 8 bytes a point.  Arrays grown by append took
+    # 17, and a list of Points over 100.
     curve = Curve(16381, 2, 9)
     tracemalloc.start()
     try:
@@ -396,15 +397,39 @@ def test_enumeration_holds_coordinates_not_points():
     finally:
         tracemalloc.stop()
     assert len(listed) == 16473
-    assert (peak - curve.p) / len(listed) <= 32
+    assert (peak - curve.p) / len(listed) <= 10
 
 
+def _fullest_curve(p):
+    """(p, a, b) for the first (a, b) whose curve has the most points, by
+    brute force: for p < 60 that is p + 1 + floor(2*sqrt(p)), Hasse's bound,
+    the size the enumeration's arrays are allocated at."""
+    roots = [0] * p
+    for y in range(p):
+        roots[y * y % p] += 1
+    a, b = max(
+        ((a, b) for a in range(p) for b in range(p) if (4 * a ** 3 + 27 * b ** 2) % p),
+        key=lambda ab: sum(roots[(x ** 3 + ab[0] * x + ab[1]) % p] for x in range(p)),
+    )
+    return p, a, b
+
+
+_PRIMES = [p for p in range(5, 300) if all(p % d for d in range(2, p))]
+_FULLEST_CURVES = [_fullest_curve(p) for p in _PRIMES if p < 60]
 _SMALL_CURVES = [
     (p, a, b)
-    for p in range(5, 300) if all(p % d for d in range(2, p))
+    for p in _PRIMES
     for a, b in ((2, 9), (1, 1), (0, 3))
     if (4 * a ** 3 + 27 * b ** 2) % p
 ]
+_SMALL_CURVES += [curve for curve in _FULLEST_CURVES if curve not in _SMALL_CURVES]
+
+
+def test_the_fullest_small_curves_fill_the_hasse_bound():
+    # So the brute-force comparison below lists curves that fill the
+    # enumeration's presized arrays to the last entry.
+    for p, a, b in _FULLEST_CURVES:
+        assert len(Curve(p, a, b).enumerate_points()) == p + 1 + math.isqrt(4 * p), p
 
 
 @pytest.mark.parametrize("p, a, b", _SMALL_CURVES)
