@@ -11,9 +11,11 @@ public key for this sender.  Encryption computes the same E2 as
 
     E2 = M + (s * K1 + S) + g * (K1 - K2)
 
-with the two bracketed points fixed per context, so a symbol costs two
-scalar multiplies and needs no group order.  The recipient removes the
-mask with
+with the two bracketed points fixed per context.  The context also holds
+the doublings C, 2*C, 4*C, ..., 2**(L-1) * C of the shared base, L the bit
+length of its order n, and E1 is the sum of those that the set bits of g
+pick.  A symbol costs one scalar multiply plus at most L - 1 additions,
+and E2 needs no group order.  The recipient removes the mask with
 
     M = E2 - (r * E1 + r * J1 + T)
 
@@ -25,6 +27,7 @@ through the shared table yields two ciphertext symbols per plaintext symbol.
 
 from __future__ import annotations
 
+import operator
 import random
 
 from ._messages import brief
@@ -58,10 +61,13 @@ class EncryptionContext:
     """Everything the sender needs: own private key, the recipient's
     general and specific public keys, and the shared code table, which
     must hold them all on one curve before any arithmetic.  It also holds
-    s*K1 + S and K1 - K2, the parts of E2 that no nonce changes."""
+    s*K1 + S and K1 - K2, the parts of E2 that no nonce changes, and the
+    doublings 2**i * C of the base for i < L, the bit length of its order,
+    which E1 sums: so a symbol costs one scalar multiply plus at most
+    L - 1 additions to encrypt."""
 
     __slots__ = ("sender_private", "recipient_general", "recipient_specific", "table",
-                 "_offset", "_difference")
+                 "_offset", "_difference", "_base_doublings")
 
     def __init__(self, sender_private: PrivateKey, recipient_general: GeneralPublicKey,
                  recipient_specific: SpecificPublicKey, table: CodeTable):
@@ -73,6 +79,10 @@ class EncryptionContext:
         _require_in_table(sender_private.curve, table, (k1, k2, recipient_specific.point))
         self._offset = sender_private.scalar * k1 + recipient_specific.point
         self._difference = k1 - k2
+        doublings = [sender_private.base]
+        for _ in range(1, sender_private.base_order.bit_length()):
+            doublings.append(doublings[-1] + doublings[-1])
+        self._base_doublings = tuple(doublings)
 
 
 class DecryptionContext:
@@ -95,14 +105,24 @@ class DecryptionContext:
 
 def encrypt_point(ctx: EncryptionContext, message_point: Point, nonce: int) -> tuple[Point, Point]:
     """Encrypt one message point under one nonce g in [1, n-1] to the pair
-    (E1, E2) = (g*C, M + (s*K1 + S) + g*(K1 - K2)): two scalar multiplies."""
+    (E1, E2) = (g*C, M + (s*K1 + S) + g*(K1 - K2)): one scalar multiply
+    plus at most L - 1 additions, L the bit length of n.  A nonce that is
+    not an int, such as a float or str, is refused with TypeError.
+
+    E1 adds the context's doublings 2**i * C for the set bits i of g,
+    lowest first, popcount(g) - 1 additions and no doubling.  Each partial
+    sum is j*C for a j below the next term's 2**i, and j + 2**i <= g < n,
+    so no sum meets its term, its negative or infinity."""
+    nonce = operator.index(nonce)
     private = ctx.sender_private
     n = private.base_order
     if not 1 <= nonce < n:
         raise ValueError(f"nonce must be in [1, {n - 1}], got {brief(nonce)}")
     if message_point.curve != private.curve:
         raise ValueError("message point belongs to a different curve")
-    e1 = nonce * private.base
+    lowest_first = bin(nonce)[:1:-1]
+    terms = [doubling for doubling, bit in zip(ctx._base_doublings, lowest_first) if bit == "1"]
+    e1 = sum(terms[1:], terms[0])
     assert not e1.is_infinity, "nonce below the base order cannot annihilate it"
     return e1, message_point + ctx._offset + nonce * ctx._difference
 

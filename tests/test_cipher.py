@@ -254,15 +254,46 @@ def scalar_muls(monkeypatch):
     return calls
 
 
-def test_encrypt_algebra_outside_the_base_subgroup(scalar_muls):
+@pytest.fixture()
+def bare_additions(scalar_muls, monkeypatch):
+    """Every Point addition made while the test runs outside a k * P
+    product, as its (P, Q) operands; scalar_muls still counts the products."""
+    made = []
+    multiplying = []   # non-empty while a k * P product runs
+    original_add, original_rmul = Point.__add__, Point.__rmul__
+
+    def counting_add(self, other):
+        if not multiplying:
+            made.append((self, other))
+        return original_add(self, other)
+
+    def marked_rmul(self, k):
+        multiplying.append(True)
+        try:
+            return original_rmul(self, k)
+        finally:
+            multiplying.pop()
+
+    monkeypatch.setattr(Point, "__add__", counting_add)
+    monkeypatch.setattr(Point, "__rmul__", marked_rmul)
+    return made
+
+
+def _doublings(additions):
+    return [(p, q) for p, q in additions if p == q]
+
+
+def test_encrypt_algebra_outside_the_base_subgroup(scalar_muls, bare_additions):
     # E_503(2,9) is cyclic of order 502 = 2 * 251: the table point G = (0,3)
     # generates it, and the base C = 2*G = (56,146) has order 251, so <C>
     # has index 2 in the table.  The scalar 3 on the secret point G puts
     # the recipient's K1 = 9*G and K2 = 3*G outside <C> but in the table,
     # so E2 is checked where no step may treat K1 or K2 as a multiple of C.
-    # Every nonce is tried.  Each symbol costs two scalar multiplies to
-    # encrypt, once the context holds s*K1 + S and K1 - K2, and one to
-    # decrypt, once the context holds r*J1 + T.
+    # Every nonce is tried.  The encryption context costs one scalar
+    # multiply, s*K1, and L - 1 doublings for its table of 2**i * C, L = 8
+    # the bit length of 251.  Each symbol then costs one scalar multiply to
+    # encrypt, g*(K1 - K2), and E1 exactly popcount(g) - 1 additions and no
+    # doubling; decrypting costs one, once the context holds r*J1 + T.
     curve = Curve(503, 2, 9)
     generator = curve.point(0, 3)
     base = 2 * generator
@@ -275,8 +306,10 @@ def test_encrypt_algebra_outside_the_base_subgroup(scalar_muls):
     recipient_specific = derive_specific(recipient_private, sender_public.k2)
     sender_specific = derive_specific(sender_private, recipient_public.k2)
     scalar_muls.clear()
+    bare_additions.clear()
     enc = EncryptionContext(sender_private, recipient_public, recipient_specific, table)
     assert len(scalar_muls) == 1
+    assert len(_doublings(bare_additions)) == 7
     dec = DecryptionContext(recipient_private, sender_public.k1, sender_specific, table)
     points = curve.enumerate_points()
     k1, k2, spec = recipient_public.k1, recipient_public.k2, recipient_specific.point
@@ -285,8 +318,13 @@ def test_encrypt_algebra_outside_the_base_subgroup(scalar_muls):
     for nonce in range(1, 251):
         message = points[nonce * 7 % len(points)]
         scalar_muls.clear()
+        bare_additions.clear()
         e1, e2 = encrypt_point(enc, message, nonce)
-        assert len(scalar_muls) == 2
+        assert len(scalar_muls) == 1
+        # E1's popcount(g) - 1 additions come first, then E2's two.
+        assert len(bare_additions) == bin(nonce).count("1") + 1
+        assert _doublings(bare_additions[:-2]) == []
+        assert e1 == nonce * base
         assert e2 == message + (beta + nonce) * k1 - nonce * k2 + spec
         scalar_muls.clear()
         assert decrypt_point(dec, (e1, e2)) == message
@@ -295,6 +333,95 @@ def test_encrypt_algebra_outside_the_base_subgroup(scalar_muls):
             assert e1 == slow_scalar_mul(nonce, base)
             assert e2 == (message + slow_scalar_mul(beta + nonce, k1)
                           - slow_scalar_mul(nonce, k2) + spec)
+
+
+def _symbols(count):
+    return "".join(chr(0x4E00 + i) for i in range(count))
+
+
+def _context_in(table, base):
+    """A sender's context whose keys all lie in <base>, on `table`."""
+    curve = table.curve
+    recipient_private, recipient_public = keypair_from_secret(curve, base, 3, 5 * base)
+    sender_private, sender_public = keypair_from_secret(curve, base, 2, 7 * base)
+    return EncryptionContext(sender_private, recipient_public,
+                             derive_specific(recipient_private, sender_public.k2), table)
+
+
+def test_e1_equals_the_fast_and_slow_products_for_every_nonce(e37_base, bob_to_alice):
+    # E_37(2,9) with the demo base (n = 43), and E_503(2,9) with the base
+    # (56,146) of order 251 inside a table of the whole group.
+    e503 = Curve(503, 2, 9)
+    e503_base = e503.point(56, 146)
+    e503_ctx = _context_in(CodeTable.from_generator(e503, e503.point(0, 3), _symbols(502)),
+                           e503_base)
+    for ctx, base, n in ((bob_to_alice, e37_base, 43), (e503_ctx, e503_base, 251)):
+        sampled = set(random.Random(n).sample(range(1, n), 10))
+        for nonce in range(1, n):
+            e1, _ = encrypt_point(ctx, base, nonce)
+            assert e1 == nonce * base
+            if nonce in sampled:
+                assert e1 == slow_scalar_mul(nonce, base)
+
+
+@pytest.mark.parametrize("p, a, b, base_xy, n", [
+    (16381, 2, 9, (2, 9880), 16473),
+    (1048573, 2, 3, (4, 5120), 525014),
+])
+def test_e1_equals_the_product_at_each_power_of_two_on_larger_curves(p, a, b, base_xy, n):
+    # 2**k and 2**k - 1 for every k < L, the bit length of n: the nonce
+    # 2**(L-1) takes E1 from the table's last entry alone, and 2**(L-1) - 1
+    # sums every entry before it.
+    curve = Curve(p, a, b)
+    base = curve.point(*base_xy)
+    ctx = _context_in(CodeTable.from_generator(curve, base, _symbols(n)), base)
+    nonces = {1, n - 1}
+    for k in range(1, n.bit_length()):
+        nonces |= {2 ** k, 2 ** k - 1}
+    for nonce in sorted(nonces):
+        e1, _ = encrypt_point(ctx, base, nonce)
+        assert e1 == nonce * base
+
+
+def test_encrypt_point_refuses_a_non_int_nonce_before_any_arithmetic(
+        e37_table, bob_to_alice, additions, scalar_muls):
+    m = e37_table.encode_symbol("a")
+    additions.clear()
+    for bad in (3.0, "3"):
+        with pytest.raises(TypeError):
+            encrypt_point(bob_to_alice, m, bad)
+    assert additions == [] and scalar_muls == []
+
+    class Three:
+        def __index__(self):
+            return 3
+
+    assert encrypt_point(bob_to_alice, m, Three()) == encrypt_point(bob_to_alice, m, 3)
+
+
+def test_threads_sharing_an_encryption_context_get_the_serial_ciphertexts(e1009, race):
+    # Eight threads share one context, and its table's walk grows under
+    # them; each encrypts its own messages under its own explicit nonces.
+    base = e1009.point(*vectors.MID_BASE)
+    alphabet = _symbols(530)
+    rng = random.Random(8)
+    jobs = []
+    for _ in range(8):
+        messages = [rng.choices(alphabet, k=rng.randrange(1, 40)) for _ in range(6)]
+        jobs.append([("".join(message), rng.sample(range(1, 530), len(message)))
+                     for message in messages])
+    serial_ctx = _context_in(CodeTable.from_generator(e1009, base, alphabet), base)
+    expected = [[encrypt_message(serial_ctx, message, nonces=nonces) for message, nonces in job]
+                for job in jobs]
+    shared = _context_in(CodeTable.from_generator(e1009, base, alphabet), base)
+    results = [None] * len(jobs)
+
+    def worker(index):
+        results[index] = [encrypt_message(shared, message, nonces=nonces)
+                          for message, nonces in jobs[index]]
+
+    race(worker, [(index,) for index in range(len(jobs))])
+    assert results == expected
 
 
 def test_contexts_refuse_key_points_outside_the_table(e1009, scalar_muls):
