@@ -12,10 +12,11 @@ public key for this sender.  Encryption computes the same E2 as
     E2 = M + (s * K1 + S) + g * (K1 - K2)
 
 with the two bracketed points fixed per context.  The context also holds
-the doublings C, 2*C, 4*C, ..., 2**(L-1) * C of the shared base, L the bit
-length of its order n, and E1 is the sum of those that the set bits of g
-pick.  A symbol costs one scalar multiply plus at most L - 1 additions,
-and E2 needs no group order.  The recipient removes the mask with
+the doublings P, 2*P, 4*P, ..., 2**(L-1) * P of both P = C and P = K1 - K2,
+L the bit length of C's order n, and g * P is the sum of those that the
+set bits of g pick.  So a symbol costs no scalar multiply and at most 2L
+additions to encrypt, and E2 needs no group order.  The recipient removes
+the mask with
 
     M = E2 - (r * E1 + r * J1 + T)
 
@@ -57,17 +58,32 @@ def _require_in_table(curve: Curve, table: CodeTable, key_points: tuple[Point, .
     table.decode_message(key_points)
 
 
+def _doublings(point: Point, count: int) -> tuple[Point, ...]:
+    """point, 2*point, 4*point, ..., 2**(count-1) * point: count - 1 doublings."""
+    doublings = [point]
+    for _ in range(1, count):
+        doublings.append(doublings[-1] + doublings[-1])
+    return tuple(doublings)
+
+
+def _sum_at(doublings: tuple[Point, ...], bits: list[int]) -> Point:
+    """The sum of doublings[i] over the indices i in `bits`, in their order,
+    len(bits) - 1 additions: g * P for the set bits of g, given P's doublings."""
+    terms = [doublings[i] for i in bits]
+    return sum(terms[1:], terms[0])
+
+
 class EncryptionContext:
     """Everything the sender needs: own private key, the recipient's
     general and specific public keys, and the shared code table, which
     must hold them all on one curve before any arithmetic.  It also holds
-    s*K1 + S and K1 - K2, the parts of E2 that no nonce changes, and the
-    doublings 2**i * C of the base for i < L, the bit length of its order,
-    which E1 sums: so a symbol costs one scalar multiply plus at most
-    L - 1 additions to encrypt."""
+    s*K1 + S, the part of E2 that no nonce changes, and the doublings
+    2**i * C of the base and 2**i * (K1 - K2) for i < L, the bit length of
+    the base's order, which E1 and E2 sum: so a symbol costs no scalar
+    multiply and at most 2L additions to encrypt."""
 
     __slots__ = ("sender_private", "recipient_general", "recipient_specific", "table",
-                 "_offset", "_difference", "_base_doublings")
+                 "_offset", "_base_doublings", "_difference_doublings")
 
     def __init__(self, sender_private: PrivateKey, recipient_general: GeneralPublicKey,
                  recipient_specific: SpecificPublicKey, table: CodeTable):
@@ -78,11 +94,9 @@ class EncryptionContext:
         k1, k2 = recipient_general.k1, recipient_general.k2
         _require_in_table(sender_private.curve, table, (k1, k2, recipient_specific.point))
         self._offset = sender_private.scalar * k1 + recipient_specific.point
-        self._difference = k1 - k2
-        doublings = [sender_private.base]
-        for _ in range(1, sender_private.base_order.bit_length()):
-            doublings.append(doublings[-1] + doublings[-1])
-        self._base_doublings = tuple(doublings)
+        length = sender_private.base_order.bit_length()
+        self._base_doublings = _doublings(sender_private.base, length)
+        self._difference_doublings = _doublings(k1 - k2, length)
 
 
 class DecryptionContext:
@@ -105,14 +119,22 @@ class DecryptionContext:
 
 def encrypt_point(ctx: EncryptionContext, message_point: Point, nonce: int) -> tuple[Point, Point]:
     """Encrypt one message point under one nonce g in [1, n-1] to the pair
-    (E1, E2) = (g*C, M + (s*K1 + S) + g*(K1 - K2)): one scalar multiply
-    plus at most L - 1 additions, L the bit length of n.  A nonce that is
-    not an int, such as a float or str, is refused with TypeError.
+    (E1, E2) = (g*C, M + (s*K1 + S) + g*(K1 - K2)): no scalar multiply and
+    at most 2L additions, L the bit length of n.  A nonce that is not an
+    int, such as a float or str, is refused with TypeError.
 
-    E1 adds the context's doublings 2**i * C for the set bits i of g,
-    lowest first, popcount(g) - 1 additions and no doubling.  Each partial
-    sum is j*C for a j below the next term's 2**i, and j + 2**i <= g < n,
-    so no sum meets its term, its negative or infinity."""
+    g*C and g*(K1 - K2) each sum the context's doublings of their point
+    for the set bits i of g, lowest first, in popcount(g) - 1 additions:
+    E1 takes those, and E2 two more.  For C, whose order is n, each
+    partial sum is j*C for a j below the next term's 2**i, and
+    j + 2**i <= g < n, so no sum meets its term, its negative or infinity,
+    and none of E1's additions doubles.  That does not hold for
+    K1 - K2 = a*C, a the recipient's scalar: its order n/gcd(a, n) can be
+    below 2**i, so a partial sum can equal its term (the addition
+    doubles), be its negative (the sum is infinity) or be infinity.  So
+    can the sums for any K1 and K2 given to the context.  Point.__add__'s
+    law is complete, so each case gives the right point with no branch
+    here."""
     nonce = operator.index(nonce)
     private = ctx.sender_private
     n = private.base_order
@@ -120,11 +142,10 @@ def encrypt_point(ctx: EncryptionContext, message_point: Point, nonce: int) -> t
         raise ValueError(f"nonce must be in [1, {n - 1}], got {brief(nonce)}")
     if message_point.curve != private.curve:
         raise ValueError("message point belongs to a different curve")
-    lowest_first = bin(nonce)[:1:-1]
-    terms = [doubling for doubling, bit in zip(ctx._base_doublings, lowest_first) if bit == "1"]
-    e1 = sum(terms[1:], terms[0])
+    bits = [i for i, bit in enumerate(bin(nonce)[:1:-1]) if bit == "1"]
+    e1 = _sum_at(ctx._base_doublings, bits)
     assert not e1.is_infinity, "nonce below the base order cannot annihilate it"
-    return e1, message_point + ctx._offset + nonce * ctx._difference
+    return e1, message_point + ctx._offset + _sum_at(ctx._difference_doublings, bits)
 
 
 def decrypt_point(ctx: DecryptionContext, pair: tuple[Point, Point]) -> Point:

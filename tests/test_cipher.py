@@ -290,10 +290,11 @@ def test_encrypt_algebra_outside_the_base_subgroup(scalar_muls, bare_additions):
     # the recipient's K1 = 9*G and K2 = 3*G outside <C> but in the table,
     # so E2 is checked where no step may treat K1 or K2 as a multiple of C.
     # Every nonce is tried.  The encryption context costs one scalar
-    # multiply, s*K1, and L - 1 doublings for its table of 2**i * C, L = 8
-    # the bit length of 251.  Each symbol then costs one scalar multiply to
-    # encrypt, g*(K1 - K2), and E1 exactly popcount(g) - 1 additions and no
-    # doubling; decrypting costs one, once the context holds r*J1 + T.
+    # multiply, s*K1, and 2(L - 1) doublings for its tables of 2**i * C and
+    # 2**i * (K1 - K2), L = 8 the bit length of 251.  Each symbol then costs
+    # no scalar multiply to encrypt and 2*popcount(g) additions, of which
+    # E1's popcount(g) - 1 come first and include no doubling; decrypting
+    # costs one scalar multiply, once the context holds r*J1 + T.
     curve = Curve(503, 2, 9)
     generator = curve.point(0, 3)
     base = 2 * generator
@@ -309,7 +310,7 @@ def test_encrypt_algebra_outside_the_base_subgroup(scalar_muls, bare_additions):
     bare_additions.clear()
     enc = EncryptionContext(sender_private, recipient_public, recipient_specific, table)
     assert len(scalar_muls) == 1
-    assert len(_doublings(bare_additions)) == 7
+    assert len(_doublings(bare_additions)) == 14
     dec = DecryptionContext(recipient_private, sender_public.k1, sender_specific, table)
     points = curve.enumerate_points()
     k1, k2, spec = recipient_public.k1, recipient_public.k2, recipient_specific.point
@@ -320,10 +321,11 @@ def test_encrypt_algebra_outside_the_base_subgroup(scalar_muls, bare_additions):
         scalar_muls.clear()
         bare_additions.clear()
         e1, e2 = encrypt_point(enc, message, nonce)
-        assert len(scalar_muls) == 1
-        # E1's popcount(g) - 1 additions come first, then E2's two.
-        assert len(bare_additions) == bin(nonce).count("1") + 1
-        assert _doublings(bare_additions[:-2]) == []
+        assert len(scalar_muls) == 0
+        # E1's popcount(g) - 1 additions come first, then E2's popcount(g) + 1.
+        ones = bin(nonce).count("1")
+        assert len(bare_additions) == 2 * ones
+        assert _doublings(bare_additions[:ones - 1]) == []
         assert e1 == nonce * base
         assert e2 == message + (beta + nonce) * k1 - nonce * k2 + spec
         scalar_muls.clear()
@@ -339,18 +341,31 @@ def _symbols(count):
     return "".join(chr(0x4E00 + i) for i in range(count))
 
 
-def _context_in(table, base):
+def _context_in(table, base, recipient_scalar=3):
     """A sender's context whose keys all lie in <base>, on `table`."""
     curve = table.curve
-    recipient_private, recipient_public = keypair_from_secret(curve, base, 3, 5 * base)
+    recipient_private, recipient_public = keypair_from_secret(curve, base, recipient_scalar,
+                                                              5 * base)
     sender_private, sender_public = keypair_from_secret(curve, base, 2, 7 * base)
     return EncryptionContext(sender_private, recipient_public,
                              derive_specific(recipient_private, sender_public.k2), table)
 
 
-def test_e1_equals_the_fast_and_slow_products_for_every_nonce(e37_base, bob_to_alice):
+def _nonce_multiple(ctx, part, message, nonce):
+    """g * P as encrypt_point makes it, and P: for E1, P is C and g * P is
+    E1; for E2, P is K1 - K2 and g * P is E2 - M - (s*K1 + S)."""
+    e1, e2 = encrypt_point(ctx, message, nonce)
+    if part == "E1":
+        return e1, ctx.sender_private.base
+    k1, k2 = ctx.recipient_general.k1, ctx.recipient_general.k2
+    return e2 - message - (ctx.sender_private.scalar * k1 + ctx.recipient_specific.point), k1 - k2
+
+
+@pytest.mark.parametrize("part", ["E1", "E2"])
+def test_e1_equals_the_fast_and_slow_products_for_every_nonce(e37_base, bob_to_alice, part):
     # E_37(2,9) with the demo base (n = 43), and E_503(2,9) with the base
-    # (56,146) of order 251 inside a table of the whole group.
+    # (56,146) of order 251 inside a table of the whole group.  E1 is g*C
+    # and E2 holds g*(K1 - K2), each summed from the context's doublings.
     e503 = Curve(503, 2, 9)
     e503_base = e503.point(56, 146)
     e503_ctx = _context_in(CodeTable.from_generator(e503, e503.point(0, 3), _symbols(502)),
@@ -358,20 +373,21 @@ def test_e1_equals_the_fast_and_slow_products_for_every_nonce(e37_base, bob_to_a
     for ctx, base, n in ((bob_to_alice, e37_base, 43), (e503_ctx, e503_base, 251)):
         sampled = set(random.Random(n).sample(range(1, n), 10))
         for nonce in range(1, n):
-            e1, _ = encrypt_point(ctx, base, nonce)
-            assert e1 == nonce * base
+            product, point = _nonce_multiple(ctx, part, base, nonce)
+            assert product == nonce * point
             if nonce in sampled:
-                assert e1 == slow_scalar_mul(nonce, base)
+                assert product == slow_scalar_mul(nonce, point)
 
 
+@pytest.mark.parametrize("part", ["E1", "E2"])
 @pytest.mark.parametrize("p, a, b, base_xy, n", [
     (16381, 2, 9, (2, 9880), 16473),
     (1048573, 2, 3, (4, 5120), 525014),
 ])
-def test_e1_equals_the_product_at_each_power_of_two_on_larger_curves(p, a, b, base_xy, n):
+def test_e1_equals_the_product_at_each_power_of_two_on_larger_curves(p, a, b, base_xy, n, part):
     # 2**k and 2**k - 1 for every k < L, the bit length of n: the nonce
-    # 2**(L-1) takes E1 from the table's last entry alone, and 2**(L-1) - 1
-    # sums every entry before it.
+    # 2**(L-1) takes g*P from the last doubling alone, and 2**(L-1) - 1
+    # sums every doubling before it, for P = C (E1) and P = K1 - K2 (E2).
     curve = Curve(p, a, b)
     base = curve.point(*base_xy)
     ctx = _context_in(CodeTable.from_generator(curve, base, _symbols(n)), base)
@@ -379,8 +395,61 @@ def test_e1_equals_the_product_at_each_power_of_two_on_larger_curves(p, a, b, ba
     for k in range(1, n.bit_length()):
         nonces |= {2 ** k, 2 ** k - 1}
     for nonce in sorted(nonces):
-        e1, _ = encrypt_point(ctx, base, nonce)
-        assert e1 == nonce * base
+        product, point = _nonce_multiple(ctx, part, base, nonce)
+        assert product == nonce * point
+
+
+def test_e2_is_right_where_the_difference_has_a_smaller_order_than_the_base():
+    # E_16381(2,9) with G = C = (2,9880), n = 16473 = 3 * 17**2 * 19.  The
+    # recipient's scalar 51 makes K1 - K2 = 51*C of order n/51 = 323, below
+    # 2**i for the doublings i >= 9, so E2's sums over them meet their
+    # term, its negative and infinity, which E1's never do.  Every nonce is
+    # tried, and E2 and decryption are checked against k * P; a seeded
+    # sample, and 323, the first nonce whose g*(K1 - K2) is infinity,
+    # against the slow oracle too.
+    curve = Curve(16381, 2, 9)
+    base = curve.point(2, 9880)
+    n = 16473
+    table = CodeTable.from_generator(curve, base, _symbols(n))
+    recipient_private, recipient_public = keypair_from_secret(curve, base, 51, 5 * base)
+    sender_private, sender_public = keypair_from_secret(curve, base, 2, 7 * base)
+    recipient_specific = derive_specific(recipient_private, sender_public.k2)
+    enc = EncryptionContext(sender_private, recipient_public, recipient_specific, table)
+    dec = DecryptionContext(recipient_private, sender_public.k1,
+                            derive_specific(sender_private, recipient_public.k2), table)
+    difference = recipient_public.k1 - recipient_public.k2
+    assert curve.order_of(difference) == 323
+    # Which of the three cases some nonce's partial sums j*D + 2**i * D
+    # meet, worked out in Z_323.
+    met = set()
+    for nonce in range(1, n):
+        bits = [i for i, bit in enumerate(bin(nonce)[:1:-1]) if bit == "1"]
+        partial = 2 ** bits[0] % 323
+        for i in bits[1:]:
+            term = 2 ** i % 323
+            if partial == term:
+                met.add("doubling")
+            elif (partial + term) % 323 == 0:
+                met.add("negative")
+            elif partial == 0:
+                met.add("infinity")
+            partial = (partial + term) % 323
+    assert met == {"doubling", "negative", "infinity"}
+    offset = sender_private.scalar * recipient_public.k1 + recipient_specific.point
+    messages = table.encode_message(_symbols(n)[::997])
+    sampled = set(random.Random(323).sample(range(1, n), 5))
+    annihilated = []
+    for nonce in range(1, n):
+        message = messages[nonce % len(messages)]
+        e1, e2 = encrypt_point(enc, message, nonce)
+        product = nonce * difference
+        if product.is_infinity:
+            annihilated.append(nonce)
+        assert e2 == message + offset + product
+        assert decrypt_point(dec, (e1, e2)) == message
+        if nonce in sampled or nonce == 323:
+            assert e2 == message + offset + slow_scalar_mul(nonce, difference)
+    assert annihilated == list(range(323, n, 323)) and len(annihilated) == 50
 
 
 def test_encrypt_point_refuses_a_non_int_nonce_before_any_arithmetic(
@@ -399,10 +468,12 @@ def test_encrypt_point_refuses_a_non_int_nonce_before_any_arithmetic(
     assert encrypt_point(bob_to_alice, m, Three()) == encrypt_point(bob_to_alice, m, 3)
 
 
-def test_threads_sharing_an_encryption_context_get_the_serial_ciphertexts(e1009, race):
-    # Eight threads share one context, and its table's walk grows under
-    # them; each encrypts its own messages under its own explicit nonces.
-    base = e1009.point(*vectors.MID_BASE)
+def _race_on_one_context(curve, race, recipient_scalar):
+    """Eight threads share one context on E_1009(7,21)'s base (0,358) of
+    order 530, and its table's walk grows under them; each encrypts its own
+    messages under its own explicit nonces and must get what a context of
+    its own gives."""
+    base = curve.point(*vectors.MID_BASE)
     alphabet = _symbols(530)
     rng = random.Random(8)
     jobs = []
@@ -410,10 +481,11 @@ def test_threads_sharing_an_encryption_context_get_the_serial_ciphertexts(e1009,
         messages = [rng.choices(alphabet, k=rng.randrange(1, 40)) for _ in range(6)]
         jobs.append([("".join(message), rng.sample(range(1, 530), len(message)))
                      for message in messages])
-    serial_ctx = _context_in(CodeTable.from_generator(e1009, base, alphabet), base)
+    serial_ctx = _context_in(CodeTable.from_generator(curve, base, alphabet), base,
+                             recipient_scalar)
     expected = [[encrypt_message(serial_ctx, message, nonces=nonces) for message, nonces in job]
                 for job in jobs]
-    shared = _context_in(CodeTable.from_generator(e1009, base, alphabet), base)
+    shared = _context_in(CodeTable.from_generator(curve, base, alphabet), base, recipient_scalar)
     results = [None] * len(jobs)
 
     def worker(index):
@@ -422,6 +494,19 @@ def test_threads_sharing_an_encryption_context_get_the_serial_ciphertexts(e1009,
 
     race(worker, [(index,) for index in range(len(jobs))])
     assert results == expected
+
+
+def test_threads_sharing_an_encryption_context_get_the_serial_ciphertexts(e1009, race):
+    _race_on_one_context(e1009, race, 3)
+
+
+def test_threads_sharing_a_context_whose_difference_has_a_smaller_order_get_the_serial_ciphertexts(
+        e1009, race):
+    # The recipient's scalar 10 makes K1 - K2 = 10*C of order 53, below the
+    # base's 530, so the threads also share the sums in which E2's partial
+    # sums meet their term, its negative or infinity.
+    assert e1009.order_of(10 * e1009.point(*vectors.MID_BASE)) == 53
+    _race_on_one_context(e1009, race, 10)
 
 
 def test_contexts_refuse_key_points_outside_the_table(e1009, scalar_muls):

@@ -4,10 +4,25 @@ import math
 import threading
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import vectors
-from eccipher import Curve, attack, ecdlp_bsgs, ecdlp_exhaustive, slow_scalar_mul
+from eccipher import (
+    CodeTable,
+    Curve,
+    DecryptionContext,
+    EncryptionContext,
+    attack,
+    decrypt_message,
+    derive_specific,
+    ecdlp_bsgs,
+    ecdlp_exhaustive,
+    encrypt_message,
+    keypair_from_secret,
+    slow_scalar_mul,
+)
 from eccipher.curve import _Kept, _Multiples
+from eccipher.reference import decrypt_by_index, encrypt_by_index
 
 
 def test_slow_scalar_mul_vector(e37):
@@ -34,6 +49,53 @@ def test_fast_equals_slow_for_sampled_inputs(e37):
         p = e37.point(*coords)
         for k in (0, 1, 2, 7, 42, 43, 44, 85):
             assert k * p == slow_scalar_mul(k, p)
+
+
+def test_the_cipher_in_z_n_gives_the_acceptance_vectors(bob_to_alice, alice_from_bob):
+    assert encrypt_by_index(bob_to_alice, vectors.MESSAGE, vectors.NONCES) == vectors.CIPHERTEXT
+    assert decrypt_by_index(alice_from_bob, vectors.CIPHERTEXT) == vectors.MESSAGE
+    assert decrypt_by_index(alice_from_bob, vectors.MISPRINTED_CIPHERTEXT) \
+        == vectors.MISPRINTED_DECRYPTION
+
+
+_SMALL_PRIMES = [p for p in range(5, 400) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+@given(st.data())
+def test_the_cipher_agrees_with_the_cipher_in_z_n_on_small_total_setups(data):
+    # A random curve mod p < 400, its table on a random point G of order
+    # N with N symbols, C = k*G, and key points in <G>, so the cipher is
+    # total; then a message under explicit nonces, and a ciphertext of
+    # random symbols.  The Z_N cipher shares no group law with the cipher.
+    p = data.draw(st.sampled_from(_SMALL_PRIMES))
+    a, b = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
+    assume((4 * a ** 3 + 27 * b ** 2) % p)
+    curve = Curve(p, a, b)
+    points = curve.enumerate_points()
+    generator = points[data.draw(st.integers(1, len(points) - 1))]
+    size = curve.order_of(generator)
+    alphabet = "".join(chr(0x4E00 + i) for i in range(size))
+    table = CodeTable.from_generator(curve, generator, alphabet)
+    multiple = st.integers(1, size - 1)
+    base = data.draw(multiple) * generator
+    n = curve.order_of(base)
+    scalar = st.integers(1, n - 1)
+    recipient_private, recipient_public = keypair_from_secret(
+        curve, base, data.draw(scalar), data.draw(multiple) * generator)
+    sender_private, sender_public = keypair_from_secret(
+        curve, base, data.draw(scalar), data.draw(multiple) * generator)
+    enc = EncryptionContext(sender_private, recipient_public,
+                            derive_specific(recipient_private, sender_public.k2), table)
+    dec = DecryptionContext(recipient_private, sender_public.k1,
+                            derive_specific(sender_private, recipient_public.k2), table)
+    message = data.draw(st.text(alphabet=alphabet, max_size=12))
+    nonces = data.draw(st.lists(scalar, min_size=len(message), max_size=len(message)))
+    ciphertext = encrypt_message(enc, message, nonces=nonces)
+    assert ciphertext == encrypt_by_index(enc, message, nonces)
+    assert decrypt_message(dec, ciphertext) == decrypt_by_index(dec, ciphertext) == message
+    forged = data.draw(st.text(alphabet=alphabet, min_size=2, max_size=12).filter(
+        lambda text: len(text) % 2 == 0))
+    assert decrypt_message(dec, forged) == decrypt_by_index(dec, forged)
 
 
 def test_recover_scalar_from_public_point(e37):
