@@ -33,7 +33,7 @@ import random
 
 from ._messages import brief
 from .codec import CodeTable
-from .curve import Curve, Point
+from .curve import Point
 from .keys import GeneralPublicKey, PrivateKey, SpecificPublicKey
 
 
@@ -47,15 +47,6 @@ class MalformedCiphertextError(ValueError):
 
 class MessageTooLongError(ValueError):
     """Message needs more distinct nonces than the base point order allows."""
-
-
-def _require_in_table(curve: Curve, table: CodeTable, key_points: tuple[Point, ...]) -> None:
-    """Both contexts' check: key points and table on `curve`, key points in the table."""
-    if any(point.curve != curve for point in key_points):
-        raise ValueError("all context points must share one curve")
-    if table.curve != curve:
-        raise ValueError("code table belongs to a different curve")
-    table.decode_message(key_points)
 
 
 def _doublings(point: Point, count: int) -> tuple[Point, ...]:
@@ -75,8 +66,10 @@ def _sum_at(doublings: tuple[Point, ...], bits: list[int]) -> Point:
 
 class EncryptionContext:
     """Everything the sender needs: own private key, the recipient's
-    general and specific public keys, and the shared code table, which
-    must hold them all on one curve before any arithmetic.  It also holds
+    general and specific public keys, and the shared code table.  Before
+    any arithmetic, `CodeTable._require` refuses, by name, a table, base
+    point C or key point off the sender's curve, and a C or key point
+    outside the table, as E1 and E2 are built from them.  It also holds
     s*K1 + S, the part of E2 that no nonce changes, and the doublings
     2**i * C of the base and 2**i * (K1 - K2) for i < L, the bit length of
     the base's order, which E1 and E2 sum: so a symbol costs no scalar
@@ -92,7 +85,9 @@ class EncryptionContext:
         self.recipient_specific = recipient_specific
         self.table = table
         k1, k2 = recipient_general.k1, recipient_general.k2
-        _require_in_table(sender_private.curve, table, (k1, k2, recipient_specific.point))
+        table._require(sender_private.curve, ("base point", sender_private.base),
+                       ("recipient pub1", k1), ("recipient pub2", k2),
+                       ("recipient specific point", recipient_specific.point))
         self._offset = sender_private.scalar * k1 + recipient_specific.point
         length = sender_private.base_order.bit_length()
         self._base_doublings = _doublings(sender_private.base, length)
@@ -101,8 +96,10 @@ class EncryptionContext:
 
 class DecryptionContext:
     """Everything the recipient needs: own private key, the sender's first
-    general public point, the sender's specific key, and the table, which
-    must hold them all on one curve before any arithmetic.  It also holds
+    general public point, the sender's specific key, and the table.  Before
+    any arithmetic, `CodeTable._require` refuses, by name, a table or
+    sender point off the recipient's curve, and a sender point outside the
+    table: the fixed points it computes with.  It also holds
     r*J1 + T, the part of the mask that no nonce changes."""
 
     __slots__ = ("recipient_private", "sender_k1", "sender_specific", "table", "_offset")
@@ -113,7 +110,8 @@ class DecryptionContext:
         self.sender_k1 = sender_k1
         self.sender_specific = sender_specific
         self.table = table
-        _require_in_table(recipient_private.curve, table, (sender_k1, sender_specific.point))
+        table._require(recipient_private.curve, ("sender pub1", sender_k1),
+                       ("sender specific point", sender_specific.point))
         self._offset = recipient_private.scalar * sender_k1 + sender_specific.point
 
 

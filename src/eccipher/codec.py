@@ -5,10 +5,11 @@ This module answers whether a cipher is total.  The cipher sends the base
 point C, the key points, E1 and E2 through the code table, so each must be
 a multiple of the table point G.  `CurveSetup` refuses an alphabet that is
 not a `str` or repeats a symbol, `CodeTable.from_generator` refuses one
-that does not name exactly order(G) symbols, and `CurveSetup.code_table`
-refuses a base or a named key point outside the table.  `keyfile` writes
-and reads setups and checks none of this itself: each setup it parses is
-built here.
+that does not name exactly order(G) symbols, and `CodeTable._require`, the
+one check of C and the key points, refuses one off the table's curve or
+outside the table, by name.  `CurveSetup.code_table` and both cipher
+contexts call it.  `keyfile` writes and reads setups and checks none of
+this itself: each setup it parses is built here.
 """
 
 from __future__ import annotations
@@ -59,7 +60,9 @@ class CodeTable:
     order(G) multiples, so the first symbol denotes the identity and every
     multiple of G has one.  Both ends of a conversation must hold the same
     table; it renders plaintext symbols as message points and cipher points
-    back as text.  Built only by from_generator, which holds that rule.
+    back as text.  Built only by from_generator, which holds that rule;
+    `_require` checks that the points a cipher on the table is built from
+    are multiples of G.
 
     The table holds only a prefix of its generator's walk, a
     `curve._Multiples`, which maps indices to points and points back to
@@ -117,10 +120,7 @@ class CodeTable:
         return self._kept.grown(min(size, _ceil_sqrt(batch * size)))
 
     def encode_symbol(self, symbol: str) -> Point:
-        index = self._index_of_symbol.get(symbol)
-        if index is None:
-            raise UnknownSymbolError(f"symbol {symbol!r} is not in the alphabet")
-        return self._grown(1).at([index])[0]
+        return self.encode_message((symbol,))[0]
 
     def decode_point(self, point: Point) -> str:
         return self.decode_message((point,))
@@ -145,6 +145,28 @@ class CodeTable:
                 raise UnknownPointError(f"point {point} is not in the code table")
             symbols.append(self._alphabet[index])
         return "".join(symbols)
+
+    def _require(self, curve: Curve, *named_points: tuple[str, Point]) -> None:
+        """Refuse a cipher on this table that is not total, before any arithmetic.
+
+        Each of `named_points`, (name, point) pairs such as a base point C
+        or a key point, must lie on `curve`, as must the table, and must be
+        a multiple of the table point G, so that E1 = gamma*C and E2, built
+        from them, render through the table.  A point outside the table raises
+        `UnknownPointError` with its name.  `CurveSetup.code_table` and
+        both cipher contexts check through this method alone.
+        """
+        if any(point.curve != curve for _, point in named_points):
+            raise ValueError("all context points must share one curve")
+        if self.curve != curve:
+            raise ValueError("code table belongs to a different curve")
+        for name, point in named_points:
+            try:
+                self.decode_point(point)
+            except UnknownPointError:
+                raise UnknownPointError(f"{name} {point} is not a multiple of the table point "
+                                        f"{self._kept.walk.generator}; a total cipher needs it "
+                                        "in the table") from None
 
 
 class CurveSetup(Record):
@@ -173,14 +195,10 @@ class CurveSetup(Record):
         every multiple of its point G (`CodeTable.from_generator` sees to
         that), so the points they are built from must be multiples of G: C
         and each of `named_points`, (name, point) pairs such as a peer's key
-        points, must decode.  Otherwise a `ValueError` refuses the input
-        before any arithmetic, not partway through a message.
+        points.  `CodeTable._require` refuses any other with an
+        `UnknownPointError`, a `ValueError`, before any arithmetic, not
+        partway through a message.
         """
         table = CodeTable.from_generator(self.curve, self.table_point, self.alphabet)
-        for name, point in (("base point", self.base), *named_points):
-            try:
-                table.decode_point(point)
-            except UnknownPointError:
-                raise ValueError(f"{name} {point} is not a multiple of the table point "
-                                 f"{self.table_point}; a total cipher needs it in the table") from None
+        table._require(self.curve, ("base point", self.base), *named_points)
         return table

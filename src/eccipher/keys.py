@@ -37,8 +37,8 @@ class PrivateKey(Record):
         if point.is_infinity:
             raise ValueError("secret point must not be infinity")
         n = curve.order_of(base)
-        if not 1 <= scalar < n:
-            raise ValueError(f"secret scalar must be in [1, {n - 1}], got {brief(scalar)}")
+        if not 1 <= self.scalar < n:
+            raise ValueError(f"secret scalar must be in [1, {n - 1}], got {brief(self.scalar)}")
         self._base_order = n
 
     @property
@@ -72,8 +72,8 @@ def keypair_from_secret(curve: Curve, base: Point, scalar: int,
                         secret_point: Point) -> tuple[PrivateKey, GeneralPublicKey]:
     """Deterministic key pair from explicit secrets (fixed test vectors, file loads)."""
     private = PrivateKey(scalar, secret_point, curve, base)
-    k1 = scalar * (base + secret_point)
-    k2 = scalar * secret_point
+    k1 = private.scalar * (base + secret_point)
+    k2 = private.scalar * secret_point
     return private, GeneralPublicKey(k1, k2)
 
 

@@ -523,13 +523,93 @@ def test_contexts_refuse_key_points_outside_the_table(e1009, scalar_muls):
     recipient_specific = derive_specific(recipient_private, sender_public.k2)
     sender_specific = derive_specific(sender_private, recipient_public.k2)
     scalar_muls.clear()
-    outside = "^point {} is not in the code table$"
-    with pytest.raises(UnknownPointError, match=outside.format(re.escape(str(recipient_public.k1)))):
+    outside = ("^{} {} is not a multiple of the table point \\(0,358\\); "
+               "a total cipher needs it in the table$")
+    with pytest.raises(UnknownPointError,
+                       match=outside.format("recipient pub1", re.escape(str(recipient_public.k1)))):
         EncryptionContext(sender_private, recipient_public, recipient_specific, table)
     with pytest.raises(UnknownPointError,
-                       match=outside.format(re.escape(str(sender_specific.point)))):
+                       match=outside.format("sender specific point",
+                                            re.escape(str(sender_specific.point)))):
         DecryptionContext(recipient_private, sender_public.k1, sender_specific, table)
     assert scalar_muls == []
+
+
+def _keys_on_half_the_base(curve):
+    """E_1009(7,21)'s base C = (0,358) of order 530, its table point
+    G = 2*C = (421,420) of order 265 with a table on G, and a recipient's
+    and a sender's keys on base C whose points all lie in <G>."""
+    base = curve.point(*vectors.MID_BASE)
+    table_point = 2 * base
+    assert table_point == curve.point(421, 420) and curve.order_of(table_point) == 265
+    table = CodeTable.from_generator(curve, table_point, _symbols(265))
+    recipient = keypair_from_secret(curve, base, 2, 3 * table_point)
+    sender = keypair_from_secret(curve, base, 4, 5 * table_point)
+    return base, table, recipient, sender
+
+
+def test_encryption_context_refuses_a_base_outside_the_table(e1009, scalar_muls):
+    # Every key point lies in <G>, but E1 = g*C does not for an odd nonce
+    # g, so the encryption context refuses C before any scalar multiply,
+    # not when an odd nonce's E1 is rendered after all the arithmetic.
+    base, table, (recipient_private, recipient_public), (sender_private, sender_public) \
+        = _keys_on_half_the_base(e1009)
+    recipient_specific = derive_specific(recipient_private, sender_public.k2)
+    sender_specific = derive_specific(sender_private, recipient_public.k2)
+    scalar_muls.clear()
+    with pytest.raises(UnknownPointError, match=r"^base point \(0,358\) is not a multiple of the "
+                                                r"table point \(421,420\); a total cipher needs it "
+                                                r"in the table$"):
+        EncryptionContext(sender_private, recipient_public, recipient_specific, table)
+    assert scalar_muls == []
+    # The decryption context never computes with C, so it builds, and
+    # decrypts a pair made by the paper's formula under an even nonce.
+    dec = DecryptionContext(recipient_private, sender_public.k1, sender_specific, table)
+    message = table.encode_symbol(table.alphabet[7])
+    e1 = 2 * base
+    e2 = message + (4 + 2) * recipient_public.k1 - 2 * recipient_public.k2 \
+        + recipient_specific.point
+    assert decrypt_point(dec, (e1, e2)) == message
+
+
+def test_threads_building_contexts_on_one_fresh_table_each_get_the_serial_result(e1009, race):
+    # Eight threads build contexts on one fresh table on G = (421,420), so
+    # each context's check grows the table's shared walk under the others.
+    # In half the threads the keys lie on the base G: each context is
+    # accepted and encrypts as one on a table of its own does.  In the
+    # other half the sender's base is C = (0,358), outside the table, and
+    # each is refused with the same message.
+    curve = e1009
+    _, table, recipient, (outside_private, outside_public) = _keys_on_half_the_base(curve)
+    table_point = curve.point(421, 420)
+    serial = _context_in(table, table_point)
+    rng = random.Random(38)
+    jobs = []
+    for _ in range(4):
+        length = rng.randrange(1, 40)
+        jobs.append(("".join(rng.choices(table.alphabet, k=length)),
+                     rng.sample(range(1, 265), length)))
+    expected = [encrypt_message(serial, message, nonces=nonces) for message, nonces in jobs]
+    refusal = ("base point (0,358) is not a multiple of the table point (421,420); "
+               "a total cipher needs it in the table")
+    outside_specific = derive_specific(recipient[0], outside_public.k2)
+    shared = CodeTable.from_generator(curve, table_point, table.alphabet)
+    results = [None] * 8
+
+    def worker(index):
+        if index % 2:
+            try:
+                EncryptionContext(outside_private, recipient[1], outside_specific, shared)
+            except UnknownPointError as error:
+                results[index] = str(error)
+        else:
+            ctx = EncryptionContext(serial.sender_private, serial.recipient_general,
+                                    serial.recipient_specific, shared)
+            results[index] = [encrypt_message(ctx, message, nonces=nonces)
+                              for message, nonces in jobs]
+
+    race(worker, [(index,) for index in range(8)])
+    assert results == [expected, refusal] * 4
 
 
 # ----------------------------------------------------------------- records

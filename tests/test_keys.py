@@ -161,6 +161,23 @@ def test_a_scalar_that_is_not_an_int_is_refused(e37, e37_base):
     assert type(PrivateKey(True, secret, e37, e37_base).scalar) is int
 
 
+def test_a_scalar_that_only_defines_index_is_used_as_its_int(e37, e37_base):
+    # The key compares, reports and multiplies by operator.index(scalar),
+    # not the object given, which has no order with ints.
+    class Index:
+        def __init__(self, value):
+            self.value = value
+
+        def __index__(self):
+            return self.value
+
+    secret = e37.point(10, 20)
+    assert keypair_from_secret(e37, e37_base, Index(5), secret) \
+        == keypair_from_secret(e37, e37_base, 5, secret)
+    with pytest.raises(ValueError, match=r"^secret scalar must be in \[1, 42\], got 50$"):
+        keypair_from_secret(e37, e37_base, Index(50), secret)
+
+
 def test_infinity_secret_point_rejected(e37, e37_base):
     with pytest.raises(ValueError):
         PrivateKey(5, e37.infinity(), e37, e37_base)
