@@ -70,13 +70,15 @@ class EncryptionContext:
     any arithmetic, `CodeTable._require` refuses, by name, a table, base
     point C or key point off the sender's curve, and a C or key point
     outside the table, as E1 and E2 are built from them.  It also holds
-    s*K1 + S, the part of E2 that no nonce changes, and the doublings
-    2**i * C of the base and 2**i * (K1 - K2) for i < L, the bit length of
-    the base's order, which E1 and E2 sum: so a symbol costs no scalar
-    multiply and at most 2L additions to encrypt."""
+    s*K1 + S, the part of E2 that no nonce changes, the order n of the
+    base, read once here from the sender's key, and the doublings 2**i * C
+    of the base and 2**i * (K1 - K2) for i < L, the bit length of n, which
+    E1 and E2 sum: so a symbol costs no scalar multiply and at most 2L
+    additions to encrypt.  Every nonce is checked against the n kept
+    here."""
 
     __slots__ = ("sender_private", "recipient_general", "recipient_specific", "table",
-                 "_offset", "_base_doublings", "_difference_doublings")
+                 "_offset", "_base_order", "_base_doublings", "_difference_doublings")
 
     def __init__(self, sender_private: PrivateKey, recipient_general: GeneralPublicKey,
                  recipient_specific: SpecificPublicKey, table: CodeTable):
@@ -89,7 +91,8 @@ class EncryptionContext:
                        ("recipient pub1", k1), ("recipient pub2", k2),
                        ("recipient specific point", recipient_specific.point))
         self._offset = sender_private.scalar * k1 + recipient_specific.point
-        length = sender_private.base_order.bit_length()
+        self._base_order = sender_private.base_order
+        length = self._base_order.bit_length()
         self._base_doublings = _doublings(sender_private.base, length)
         self._difference_doublings = _doublings(k1 - k2, length)
 
@@ -118,8 +121,9 @@ class DecryptionContext:
 def encrypt_point(ctx: EncryptionContext, message_point: Point, nonce: int) -> tuple[Point, Point]:
     """Encrypt one message point under one nonce g in [1, n-1] to the pair
     (E1, E2) = (g*C, M + (s*K1 + S) + g*(K1 - K2)): no scalar multiply and
-    at most 2L additions, L the bit length of n.  A nonce that is not an
-    int, such as a float or str, is refused with TypeError.
+    at most 2L additions, L the bit length of n, the base order the
+    context keeps.  A nonce that is not an int, such as a float or str, is
+    refused with TypeError.
 
     g*C and g*(K1 - K2) each sum the context's doublings of their point
     for the set bits i of g, lowest first, in popcount(g) - 1 additions:
@@ -134,11 +138,10 @@ def encrypt_point(ctx: EncryptionContext, message_point: Point, nonce: int) -> t
     law is complete, so each case gives the right point with no branch
     here."""
     nonce = operator.index(nonce)
-    private = ctx.sender_private
-    n = private.base_order
+    n = ctx._base_order
     if not 1 <= nonce < n:
         raise ValueError(f"nonce must be in [1, {n - 1}], got {brief(nonce)}")
-    if message_point.curve != private.curve:
+    if message_point.curve != ctx.sender_private.curve:
         raise ValueError("message point belongs to a different curve")
     bits = [i for i, bit in enumerate(bin(nonce)[:1:-1]) if bit == "1"]
     e1 = _sum_at(ctx._base_doublings, bits)
@@ -166,7 +169,7 @@ def encrypt_message(ctx: EncryptionContext, message: str,
     explicitly for reproducible output.
     """
     points = ctx.table.encode_message(message)
-    n = ctx.sender_private.base_order
+    n = ctx._base_order
     if nonces is not None:
         if len(nonces) != len(message):
             raise ValueError(f"{len(message)} characters need {len(message)} nonces, got {len(nonces)}")

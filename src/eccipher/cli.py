@@ -210,6 +210,7 @@ def _cmd_keygen(args) -> int:
         private, public = keys.keypair_from_secret(setup.curve, setup.base, args.alpha,
                                                    secret_point)
     else:
+        setup.code_table()  # refuses a setup whose cipher is not total
         private, public = keys.keygen(setup.curve, setup.base, _make_rng(args.seed))
     _save((args.out_private, keyfile.render_private_key(setup, private, public)),
           (args.out_public, keyfile.render_general_public_key(setup, public)),
@@ -221,6 +222,8 @@ def _cmd_derive_specific(args) -> int:
     setup, own, _ = _load(args.private, keyfile.parse_private_key)
     peer_setup, peer = _load(args.peer_public, keyfile.parse_general_public_key)
     _require_same_setup(setup, peer_setup)
+    pub = brief(args.peer_public)
+    setup.code_table((f"{pub}: pub1", peer.k1), (f"{pub}: pub2", peer.k2))
     specific = keys.derive_specific(own, peer.k2, args.issuer, args.audience)
     _save((args.out, keyfile.render_specific_public_key(setup, specific)),
           inputs=(args.private, args.peer_public))

@@ -38,7 +38,7 @@ import re
 
 from ._messages import brief
 from .codec import CurveSetup
-from .curve import Curve, CurveTooLargeError, Point, PointNotOnCurveError, SingularCurveError
+from .curve import Curve, CurveTooLargeError, Point, PointNotOnCurveError
 from .field import Prime
 from .keys import GeneralPublicKey, PrivateKey, SpecificPublicKey, keypair_from_secret
 
@@ -193,26 +193,33 @@ class _Reader:
         return self.take_point(curve, name, allow_infinity=entry_type == _POINT_OR_INF)
 
 
-def _take_setup(reader: _Reader) -> CurveSetup:
-    """The setup on file lines 3-10; an error cites its line in the file."""
-    p = reader.take_int("p")
+def _cited(line: int, make, *args):
+    """`make(*args)`, with a `ValueError` it raises turned into a
+    `KeyFileError` that cites `line`, the line whose value it refused.  A
+    `CurveTooLargeError` passes through: it is a fact of the curve, not of
+    one line."""
     try:
-        prime = Prime(p)
+        return make(*args)
+    except CurveTooLargeError:
+        raise
     except ValueError as exc:
-        raise KeyFileError(f"line {reader.pos}: {exc}") from None
+        raise KeyFileError(f"line {line}: {exc}") from None
+
+
+def _take_setup(reader: _Reader) -> CurveSetup:
+    """The setup on file lines 3-10.  An error cites its line in the file:
+    a modulus that is not prime line 3, a singular curve line 5 (b, the
+    last coefficient read), and a setup `CurveSetup` refuses line 10, the
+    alphabet, through `_cited`."""
+    p = reader.take_int("p")
+    prime = _cited(reader.pos, Prime, p)
     a = reader.take_int("a", below=prime)
     b = reader.take_int("b", below=prime)
-    try:
-        curve = Curve(prime, a, b)
-    except SingularCurveError as exc:
-        raise KeyFileError(f"line {reader.pos}: {exc}") from None
+    curve = _cited(reader.pos, Curve, prime, a, b)
     base = reader.take_point(curve, "base", allow_infinity=False)
     table_point = reader.take_point(curve, "table", allow_infinity=False)
     alphabet = reader.take("alphabet")
-    try:
-        return CurveSetup(curve, base, table_point, alphabet)
-    except ValueError as exc:
-        raise KeyFileError(f"line {reader.pos}: {exc}") from None
+    return _cited(reader.pos, CurveSetup, curve, base, table_point, alphabet)
 
 
 def _parse(text: str, kind: str) -> tuple[CurveSetup, list, list[int]]:
@@ -244,12 +251,8 @@ def parse_curve_setup(text: str) -> CurveSetup:
 def parse_private_key(text: str) -> tuple[CurveSetup, PrivateKey, GeneralPublicKey]:
     setup, (scalar, secret_point, pub1, pub2), ends = _parse(text, KIND_PRIVATE)
     scalar_line, _, pub1_line, _ = ends
-    try:
-        private, public = keypair_from_secret(setup.curve, setup.base, scalar, secret_point)
-    except CurveTooLargeError:
-        raise  # a fact of the curve, not of the scalar's line
-    except ValueError as exc:
-        raise KeyFileError(f"line {scalar_line}: {exc}") from None
+    private, public = _cited(scalar_line, keypair_from_secret,
+                             setup.curve, setup.base, scalar, secret_point)
     if public.k1 != pub1 or public.k2 != pub2:
         raise KeyFileError(f"line {pub1_line}: stored public key does not match the private key")
     return setup, private, public

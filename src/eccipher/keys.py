@@ -17,13 +17,16 @@ from .curve import Curve, Point
 
 
 class PrivateKey(Record):
-    """A party's secrets: scalar in [1, n-1] and a non-identity curve point.
+    """A party's secrets: scalar in [1, n-1] and a non-identity curve point,
+    with the curve and shared base they belong to, and nothing else: what
+    its key file holds.
 
-    n is the order of the shared base point.  A scalar that is not an int,
-    such as a float or str, is refused with TypeError.
+    n is the order of the shared base point, which the curve caches.  A
+    scalar that is not an int, such as a float or str, is refused with
+    TypeError.
     """
 
-    __slots__ = ("scalar", "point", "curve", "base", "_base_order")
+    __slots__ = ("scalar", "point", "curve", "base")
 
     def __init__(self, scalar: int, point: Point, curve: Curve, base: Point):
         self.scalar = operator.index(scalar)
@@ -39,12 +42,11 @@ class PrivateKey(Record):
         n = curve.order_of(base)
         if not 1 <= self.scalar < n:
             raise ValueError(f"secret scalar must be in [1, {n - 1}], got {brief(self.scalar)}")
-        self._base_order = n
 
     @property
     def base_order(self) -> int:
         """Order n of the shared base point; scalars live in [1, n-1]."""
-        return self._base_order
+        return self.curve.order_of(self.base)
 
 
 class GeneralPublicKey(Record):

@@ -188,14 +188,25 @@ def _conversation_commands(alphabet):
 ], ids=["table-misses-points", "base-outside-table"])
 def test_conversations_refuse_a_partial_setup_at_the_start(run_cli, tmp_path, setup, message):
     # Setup files written by hand, or before curve init refused these
-    # setups, reach encrypt and decrypt, which refuse them before any
-    # output rather than failing on a point partway through a message.
+    # setups, reach keygen, derive-specific, encrypt and decrypt, which
+    # refuse them before any output rather than writing keys the cipher
+    # cannot use or failing on a point partway through a message.
     rng = random.Random(7)
     alice, bob = (keygen(setup.curve, setup.base, rng) for _ in range(2))
     _write_conversation(tmp_path, setup, alice, bob)
-    for command in _conversation_commands(setup.alphabet):
+    (tmp_path / "curve.ecff").write_text(keyfile.render_curve_setup(setup), encoding="utf-8")
+    files = sorted(path.name for path in tmp_path.iterdir())
+    commands = [
+        ("keygen", "--curve", "curve.ecff", "--seed", 1,
+         "--out-private", "out.priv", "--out-public", "out.pub"),
+        ("derive-specific", "--private", "bob.priv", "--peer-public", "alice.pub",
+         "--out", "out.spec"),
+        *_conversation_commands(setup.alphabet),
+    ]
+    for command in commands:
         result = run_cli(*command, cwd=tmp_path)
         assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == files
 
 
 def test_keygen_refuses_a_secret_point_outside_the_table(run_cli, tmp_path):
@@ -222,18 +233,25 @@ def test_keygen_refuses_a_secret_point_outside_the_table(run_cli, tmp_path):
 def test_conversations_refuse_a_peer_point_outside_the_table(run_cli, tmp_path):
     # On the total E_1009 setup, Alice's key is built on a secret point
     # outside <(0,651)>, so her public points and Bob's specific key for
-    # her miss the table; encrypt to her and decrypt from Bob both refuse,
-    # naming the file, before any output.
+    # her miss the table; deriving a specific key for her, encrypting to
+    # her and decrypting from Bob all refuse, naming the file, before any
+    # output.
     base = _E1009.point(0, 651)
     setup = keyfile.CurveSetup(_E1009, base, base, _E1009_ALPHABET)
     alice = keypair_from_secret(_E1009, base, 5, _E1009.point(8, 331))
     bob = keypair_from_secret(_E1009, base, 3, 2 * base)
     _write_conversation(tmp_path, setup, alice, bob)
+    files = sorted(path.name for path in tmp_path.iterdir())
     bob_for_alice = derive_specific(bob[0], alice[1].k2).point
-    refused = [f"'alice.pub': pub1 {alice[1].k1}", f"'bob_for_alice.spec': point {bob_for_alice}"]
-    for command, name in zip(_conversation_commands(_E1009_ALPHABET), refused):
+    derive = ("derive-specific", "--private", "bob.priv", "--peer-public", "alice.pub",
+              "--out", "out.spec")
+    commands = [derive, *_conversation_commands(_E1009_ALPHABET)]
+    alice_pub1 = f"'alice.pub': pub1 {alice[1].k1}"
+    refused = [alice_pub1, alice_pub1, f"'bob_for_alice.spec': point {bob_for_alice}"]
+    for command, name in zip(commands, refused, strict=True):
         result = run_cli(*command, cwd=tmp_path)
         assert (result.returncode, result.stdout) == (2, "")
+        assert sorted(path.name for path in tmp_path.iterdir()) == files
         assert result.stderr == (f"error: {name} is not a multiple of the table point (0,651); "
                                  "a total cipher needs it in the table\n")
 

@@ -388,6 +388,23 @@ def test_error_messages_carry_line_numbers():
             parse_curve_setup(bad)
 
 
+@pytest.mark.parametrize("kind, old, new, message", [
+    ("curve", "p = 37", "p = 35", r"^line 3: 35 is not prime$"),
+    ("curve", "a = 2\nb = 9", "a = 0\nb = 0",
+     r"^line 5: 4a\^3 \+ 27b\^2 = 0 mod 37: curve is singular$"),
+    ("curve", "alphabet = *abc", "alphabet = *aac",
+     r"^line 10: alphabet must be non-empty with distinct symbols$"),
+    ("private", "alpha = 5", "alpha = 0", r"^line 11: secret scalar must be in \[1, 42\], got 0$"),
+], ids=["prime", "curve", "setup", "private-key"])
+def test_a_value_the_library_refuses_is_cited_at_its_line(e37, kind, old, new, message):
+    # The modulus, the curve, the setup and the private key are built by
+    # the library, and its message is cited after the line whose value it
+    # refused.
+    text, parse = _rendered(kind, e37)
+    with pytest.raises(KeyFileError, match=message):
+        parse(_mutate(text, old, new))
+
+
 def _rendered(kind, e37):
     setup, private, public = _private_file(e37)
     if kind == "curve":
