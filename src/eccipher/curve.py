@@ -69,14 +69,15 @@ class Curve:
     def enumerate_points(self) -> Sequence[Point]:
         """All points: infinity first, then ascending x, each root pair in turn.
 
-        A table of the squares mod p, one byte per residue, picks the x
-        whose x^3 + ax + b is a square or zero; only those x get a
-        `FieldElement` and its Tonelli-Shanks roots, so a non-residue costs
-        one table read.  The result is an immutable sequence that holds
-        the coordinates in two int arrays, not a `Point` per point: each
-        read builds a fresh `Point`, equal to any other read of the same
-        index.  Also fills the curve's `order` cache.  Refuses p > 2**20,
-        which bounds the table at 1 MiB and lets a coordinate fit 32 bits.
+        `_roots` tabulates, in one walk, the Tonelli-Shanks root of every
+        nonzero square mod p; each x reads the root of its x^3 + ax + b
+        there and lists (x, r) then (x, p - r), or (x, 0) for a zero, so
+        a non-residue costs one table read and no x takes a square root.
+        The result is an immutable sequence that holds the coordinates in
+        two int arrays, not a `Point` per point: each read builds a fresh
+        `Point`, equal to any other read of the same index.  Also fills
+        the curve's `order` cache.  Refuses p > 2**20, which bounds the
+        root table at 4 MiB and lets a coordinate fit 32 bits.
 
         Hasse's bound, #E <= p + 1 + 2*sqrt(p), caps the affine points
         before any is found, so both arrays are allocated once at that cap
@@ -88,20 +89,22 @@ class Curve:
         """
         self._require_enumerable()
         p = self.p
-        is_square = bytearray(p)
-        for y in range((p + 1) // 2):
-            is_square[y * y % p] = 1
+        roots = _roots(p)
         cap = p + _hasse_reach(p)
         xs, ys = array("I", [0]) * cap, array("I", [0]) * cap
         n = 0
         a, b = self.a, self.b
         for x in range(p):
             rhs = (x * x * x + a * x + b) % p
-            if is_square[rhs]:
-                for y in FieldElement(rhs, p).sqrt():
-                    xs[n] = x
-                    ys[n] = y
-                    n += 1
+            r = roots[rhs]
+            if r:
+                xs[n] = xs[n + 1] = x
+                ys[n] = r
+                ys[n + 1] = p - r
+                n += 2
+            elif not rhs:
+                xs[n] = x   # ys[n] is already 0
+                n += 1
         listing = _Listing(self, memoryview(xs)[:n], memoryview(ys)[:n])
         self._order = len(listing)
         return listing
@@ -177,6 +180,36 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         primes.append(n)
     return primes
+
+
+def _roots(p: int) -> array:
+    """The Tonelli-Shanks root of each nonzero square mod p, indexed by the
+    square; 0 at every other residue.  Entries are 16-bit up to 2**16.
+
+    Let p - 1 = q*2**s with q odd and g be the least primitive root.  For
+    y = g**k, every value Tonelli-Shanks meets while it roots n = y*y is y
+    times a power of g**q, of order 2**s, so the root it returns is y or
+    p - y, and which one depends only on k mod 2**s.  One root per class,
+    of g**(2j) for j < min(2**s, (p - 1)/2), fixes each class's sign;
+    then the walk y = g**k, k < (p - 1)/2, meets each nonzero square once.
+    """
+    half = (p - 1) // 2
+    primes = _prime_factors(p - 1)
+    g = 2
+    while any(pow(g, (p - 1) // q, p) == 1 for q in primes):
+        g += 1
+    mask = ((p - 1) & (1 - p)) - 1   # 2**s - 1
+    same = []
+    y = 1
+    for _ in range(min(mask + 1, half)):
+        same.append(FieldElement(y * y, p).sqrt()[0] == y)
+        y = y * g % p
+    roots = array("H" if p <= 1 << 16 else "I", [0]) * p
+    y = 1
+    for k in range(half):
+        roots[y * y % p] = y if same[k & mask] else p - y
+        y = y * g % p
+    return roots
 
 
 class Point:

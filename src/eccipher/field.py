@@ -2,9 +2,10 @@
 
 Field arithmetic itself is plain int arithmetic mod p (inverses by
 `pow(x, -1, p)`); `FieldElement` keeps only the Tonelli-Shanks square
-roots that point enumeration needs.  Enumeration builds one per x whose
-x^3 + ax + b is a square or zero mod p, picked by its own table of
-squares, so every root it lists still comes from `FieldElement.sqrt`.
+roots that point enumeration needs.  Enumeration builds a few per curve:
+one per sign class of its table of roots, min(2**s, (p - 1)/2) for
+p - 1 = q*2**s with q odd, so every root it lists is the one
+`FieldElement.sqrt` gives.
 """
 
 from __future__ import annotations

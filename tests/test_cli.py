@@ -12,8 +12,8 @@ import pytest
 
 import vectors
 from eccipher import (
-    DEFAULT_ALPHABET, Curve, DecryptionContext, attack, cli, codec, decrypt_message,
-    derive_specific, keyfile, keygen, keypair_from_secret,
+    DEFAULT_ALPHABET, Curve, DecryptionContext, FieldElement, attack, cli, codec,
+    decrypt_message, derive_specific, keyfile, keygen, keypair_from_secret,
 )
 
 CURVE_ARGS = ["--p", "37", "--a", "2", "--b", "9", "--base", "9,4", "--table-base", "5,25"]
@@ -88,6 +88,13 @@ def test_curve_points_lists_every_point(run_cli, workdir):
     assert lines[0] == "inf"
     expected = {f"({x},{y})" for x, y in vectors.AFFINE_POINTS} | {"inf"}
     assert set(lines) == expected
+    # The order too: ascending x, and 37 = 5 (mod 8), so within each pair
+    # Tonelli-Shanks's root first, then its negation.
+    listing = ["inf"]
+    for x in range(vectors.P):
+        for y in FieldElement(x ** 3 + vectors.A * x + vectors.B, vectors.P).sqrt() or ():
+            listing.append(f"({x},{y})")
+    assert lines == listing
 
 
 def test_curve_init_accepts_custom_alphabet(run_cli, tmp_path):

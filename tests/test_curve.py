@@ -377,10 +377,10 @@ def test_enumeration_reads_like_the_list_of_its_points(curve_name, request):
 
 
 def test_enumeration_holds_coordinates_not_points():
-    # E_16381(2,9) has 16473 points.  The squares table takes p bytes; the
-    # rest of the peak is the two 32-bit coordinate arrays, sized once from
-    # Hasse's bound, about 8 bytes a point.  Arrays grown by append took
-    # 17, and a list of Points over 100.
+    # E_16381(2,9) has 16473 points.  The root table takes 2p bytes, p of
+    # them subtracted here; the rest of the peak is the other p and the two
+    # 32-bit coordinate arrays, sized once from Hasse's bound, about 8 bytes
+    # a point.  Arrays grown by append took 17, and a list of Points over 100.
     curve = Curve(16381, 2, 9)
     tracemalloc.start()
     try:
@@ -446,7 +446,23 @@ def test_enumeration_matches_brute_force(p, a, b):
         assert affine[i + 1] == (x, p - r)
         if p % 4 == 3:
             assert r == pow((x ** 3 + a * x + b) % p, (p + 1) // 4, p)
+        # The first is Tonelli-Shanks's root, whatever p is mod 4.
+        assert r == FieldElement(x ** 3 + a * x + b, p).sqrt()[0]
         i += 2
+
+
+def test_enumeration_lists_tonelli_shanks_roots_first_on_the_largest_curve():
+    # E_1048573(2,3), the key-break curve: 1048573 = 5 (mod 8), so the
+    # order inside each pair rests on the root table's class signs.  Every
+    # 1,000th listed pair is checked against FieldElement.sqrt.
+    p, a, b = 1048573, 2, 3
+    listed = Curve(p, a, b).enumerate_points()
+    xs, ys = listed._xs, listed._ys
+    starts = [i for i in range(len(xs)) if ys[i] and (i == 0 or xs[i - 1] != xs[i])]
+    assert 2 * len(starts) + sum(1 for y in ys if not y) == len(xs)
+    for i in starts[::1000]:
+        x = xs[i]
+        assert (ys[i], ys[i + 1]) == FieldElement(x ** 3 + a * x + b, p).sqrt(), x
 
 
 @pytest.fixture()
@@ -463,13 +479,19 @@ def field_elements_built(monkeypatch):
     return built
 
 
-def test_enumeration_builds_one_field_element_per_square_x(field_elements_built):
-    # Only x whose x^3 + 2x + 9 is a square or zero mod 37 need a root.
+def test_enumeration_takes_one_square_root_per_sign_class(field_elements_built):
+    # 21 x have an x^3 + 2x + 9 that is a square or zero mod 37, but no x
+    # takes a root: the root table takes one FieldElement.sqrt per class of
+    # k mod 2**s, min(2**s, (p - 1)/2) of them, and 37 - 1 = 9 * 2**2.
     squares = {y * y % 37 for y in range(37)}
     square_xs = [x for x in range(37) if (x ** 3 + 2 * x + 9) % 37 in squares]
     assert len(square_xs) == 21
     Curve(37, 2, 9).enumerate_points()
-    assert len(field_elements_built) == len(square_xs)
+    assert len(field_elements_built) == 4
+    # 257 - 1 = 2**8: each of the 128 walked y is its own class.
+    field_elements_built.clear()
+    Curve(257, 2, 9).enumerate_points()
+    assert len(field_elements_built) == 128
 
 
 # 40961 - 1 = 5 * 2**13 and 65537 - 1 = 2**16: deep 2-adic primes, beyond
